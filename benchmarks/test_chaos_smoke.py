@@ -4,10 +4,12 @@ Runs a deterministic corpus of chaos episodes — crash/recover at journal
 flush boundaries, partitions, torn journal tails, duplicated and delayed
 transfers — and asserts the paper-invariant suite finds zero violations.
 Memory-journal episodes exercise the crash model cheaply; file-journal
-episodes add torn-tail recovery on real files; sqlite-journal episodes
-cover the transactional backend's crash/recover path; binfile-journal episodes run the binary record
-codec through the same crash, recovery, and torn-tail space (tears cut
-a binary frame mid-payload, and post-recovery writes keep the codec);
+episodes add torn-tail recovery on real files; sqlstore episodes put
+the SQL queue store's crash/recover path (rollback of a group that died
+before COMMIT, lock release on restart) under the same faults;
+binfile-journal episodes run the binary record codec through the same
+crash, recovery, and torn-tail space (tears cut a binary frame
+mid-payload, and post-recovery writes keep the codec);
 tcp-transport episodes drive real wire-protocol engine pairs through
 seeded connection drops (landing mid-frame), reconnect resync,
 retransmission and deferred confirmations.
@@ -33,8 +35,8 @@ SHORT = os.environ.get("BENCH_SHORT", "") not in ("", "0")
 MEMORY_EPISODES = 15 if SHORT else 40
 FILE_EPISODES = 5 if SHORT else 15
 FILE_BASE_SEED = 100
-SQLITE_EPISODES = 5 if SHORT else 15
-SQLITE_BASE_SEED = 200
+SQLSTORE_EPISODES = 5 if SHORT else 15
+SQLSTORE_BASE_SEED = 200
 BINFILE_EPISODES = 5 if SHORT else 15
 BINFILE_BASE_SEED = 300
 WIRE_EPISODES = 10 if SHORT else 25
@@ -65,9 +67,9 @@ def test_chaos_smoke_corpus(report, tmp_path):
             repro_dir=REPO_ROOT,
         ),
         run_chaos_corpus(
-            episodes=SQLITE_EPISODES,
-            base_seed=SQLITE_BASE_SEED,
-            journal="sqlite",
+            episodes=SQLSTORE_EPISODES,
+            base_seed=SQLSTORE_BASE_SEED,
+            journal="sqlstore",
             journal_dir=str(tmp_path),
             repro_dir=REPO_ROOT,
         ),

@@ -29,7 +29,7 @@ the CI benchmark-smoke step) and in the usual results table.  Set
 ``BENCH_SHORT=1`` for a fast smoke run.
 
 ``test_persistence_backends`` compares the journal backends
-(memory / file / sqlite / binfile — the binary-codec file store — and
+(memory / file / binfile — the binary-codec file store — and
 sqlstore, the SQL-backed live queue store) at the same fan-out: journal
 flushes per second under the conditional-send workload and wall-clock
 recovery time from the resulting log, written to
@@ -73,7 +73,7 @@ PERSISTENCE_RESULT_PATH = os.path.abspath(
         os.path.dirname(__file__), os.pardir, "BENCH_persistence.json"
     )
 )
-PERSISTENCE_BACKENDS = ("memory", "file", "sqlite", "binfile", "sqlstore")
+PERSISTENCE_BACKENDS = ("memory", "file", "binfile", "sqlstore")
 
 #: Multi-process scaling: receiver-host process counts to sweep.  The
 #: workload is processing-bound (``MP_PROCESSING_MS`` of simulated work

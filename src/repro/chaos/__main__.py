@@ -23,6 +23,7 @@ from typing import List
 
 from repro.chaos.bounded import BoundedExplorer
 from repro.chaos.explorer import ChaosExplorer, EpisodeSpec
+from repro.mq.persistence import JOURNAL_SCHEMES
 
 
 def _report_one(result) -> None:
@@ -96,10 +97,10 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--journal",
-        choices=("memory", "file", "sqlite"),
+        choices=sorted(JOURNAL_SCHEMES),
         default="memory",
-        help="journal backend (file enables torn-tail faults; sqlite"
-        " exercises engine-transaction commit groups)",
+        help="journal backend (file and binfile enable torn-tail faults;"
+        " sqlstore exercises engine-transaction commit groups)",
     )
     parser.add_argument(
         "--replay",

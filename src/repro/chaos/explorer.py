@@ -52,6 +52,7 @@ from repro.mq.persistence import (
     FileJournal,
     Journal,
     journal_factory_for,
+    journal_scheme,
 )
 from repro.obs.trace import FlightRecorder
 from repro.sim.determinism import deterministic_ids
@@ -88,7 +89,7 @@ class EpisodeSpec:
     receivers: int = 3
     latency_ms: int = 5
     jitter_ms: int = 0
-    journal: str = "memory"  # "memory" | "file" | "sqlite" | "binfile" | "sqlstore"
+    journal: str = "memory"  # a scheme of persistence.JOURNAL_SCHEMES
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     plan: FaultPlan = field(default_factory=FaultPlan)
 
@@ -130,10 +131,9 @@ class EpisodeSpec:
         )
         horizon = messages * gap + window
         kinds = ["crash", "crash", "partition", "duplicate", "delay"]
-        if journal in ("file", "binfile"):
-            # Only the file journals model torn writes (line-oriented and
-            # binary-codec alike); the sqlite backend's engine
-            # transactions cannot tear.
+        if journal_scheme(journal)[0] is FileJournal:
+            # Only the file journals (JSON-lines and binary alike) model
+            # torn writes; the SQL store's engine transactions cannot tear.
             kinds.append("torn_tail")
         receiver_managers = [f"QM.{n}" for n in spec.receiver_names]
         for _ in range(rng.randint(1, 4)):
@@ -550,9 +550,9 @@ class ChaosHarness:
 
         Only file journals model torn writes; reopening runs
         :class:`FileJournal`'s tail-healing, exactly what a real restart
-        over a torn log does.  Memory journals crash cleanly; sqlite's
-        engine transactions cannot tear.  The tear is written in the
-        journal's own codec — a chopped JSON line for the line-oriented
+        over a torn log does.  Memory journals crash cleanly; the SQL
+        store's engine transactions cannot tear.  The tear is written in
+        the journal's own codec — a chopped JSON line for the line-oriented
         store, a frame cut short mid-payload for the binary codec — and
         the reopened journal keeps that codec.
         """

@@ -447,11 +447,10 @@ def run_chaos_corpus(
         episodes: Number of seeded episodes.
         base_seed: Seed of the first episode (episode ``i`` uses
             ``base_seed + i``).
-        journal: ``"memory"``, ``"file"``, or ``"sqlite"`` — file
-            journals enable torn-tail faults; sqlite journals exercise
-            engine-transaction commit groups.
-        journal_dir: Directory for file/sqlite journals (temporary when
-            None).
+        journal: A scheme of :data:`repro.mq.persistence.JOURNAL_SCHEMES`
+            — file journals enable torn-tail faults; ``sqlstore``
+            exercises engine-transaction commit groups.
+        journal_dir: Directory for on-disk stores (temporary when None).
         repro_dir: Where to write minimized reproducers for failures.
         transport: ``"local"`` (in-process MessageNetwork chaos) or
             ``"tcp"`` (wire-protocol chaos).

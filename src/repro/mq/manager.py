@@ -65,9 +65,10 @@ class QueueManager:
     Args:
         name: Network-unique manager name (e.g. ``"QM.SENDER"``).
         clock: Time source shared with the rest of the simulation.
-        journal: Optional durability log — a :class:`Journal` instance or
-            a backend URL (``"memory:"`` / ``"file:<path>"`` /
-            ``"sqlite:<path>"``, resolved via
+        journal: Optional durable store — a :class:`Journal` or
+            :class:`SqlQueueStore` instance, or a backend URL
+            (``"memory:"`` / ``"file:<path>"`` / ``"binfile:<path>"`` /
+            ``"sqlstore:<path>"``, resolved via
             :func:`~repro.mq.persistence.journal_for`); without one the
             manager is volatile (all messages behave as non-persistent on
             restart).
@@ -95,6 +96,10 @@ class QueueManager:
             raise MQError("queue manager name must be non-empty")
         if isinstance(journal, str):
             journal = journal_for(journal)
+        if journal is not None and metrics is not None and journal.metrics is None:
+            # The journal or store reports flush/record metrics through
+            # the owning manager's registry.
+            journal.metrics = metrics
         self.name = name
         self.clock = clock
         #: SQL-backed live state (``sqlstore:`` URLs / :class:`SqlQueueStore`
@@ -106,16 +111,10 @@ class QueueManager:
         if isinstance(journal, SqlQueueStore):
             self.store = journal
             journal = None
-            if metrics is not None and self.store.metrics is None:
-                self.store.metrics = metrics
         self.journal = journal
         self.backout_threshold = backout_threshold
         self.tracer = tracer
         self.metrics = metrics
-        if journal is not None and metrics is not None and journal.metrics is None:
-            # The journal reports flush/byte/batch-size metrics through the
-            # owning manager's registry.
-            journal.metrics = metrics
         self._compacting = False
         #: crash-point hook (:mod:`repro.chaos`): called after a
         #: :meth:`group_commit` block's journal group has been written,
@@ -337,28 +336,20 @@ class QueueManager:
         staged compensations, the sender-log entry) cost a single journal
         flush.  A volatile manager returns a no-op context.
         """
-        if self.journal is not None:
-            return self._group_commit_then_compact()
-        if self.store is not None:
-            return self._store_group_commit()
-        return nullcontext(self)
+        durable = self.journal or self.store
+        if durable is None:
+            return nullcontext(self)
+        return self._group_commit_then_compact(durable)
 
     @contextmanager
-    def _group_commit_then_compact(self) -> Iterator["QueueManager"]:
-        with self.journal.batch():
+    def _group_commit_then_compact(self, durable) -> Iterator["QueueManager"]:
+        with durable.batch():
             yield self
         # The hook only fires once the group is durable: a batch that
         # raises (including a simulated pre-flush crash) skips it.
         if self.on_post_group is not None:
             self.on_post_group()
         self._maybe_autocompact()
-
-    @contextmanager
-    def _store_group_commit(self) -> Iterator["QueueManager"]:
-        with self.store.transaction():
-            yield self
-        if self.on_post_group is not None:
-            self.on_post_group()
 
     def post_durable(self, callback: "Callable[[], None]") -> None:
         """Run ``callback`` once the current commit group is durable.
@@ -368,10 +359,9 @@ class QueueManager:
         callback immediately.  The network layer hangs transfer attempts
         off this hook so a transmission never races its own durability.
         """
-        if self.journal is not None:
-            self.journal.post_commit(callback)
-        elif self.store is not None:
-            self.store.post_commit(callback)
+        durable = self.journal or self.store
+        if durable is not None:
+            durable.post_commit(callback)
         else:
             callback()
 
@@ -468,15 +458,13 @@ class QueueManager:
                 if transaction is not None:
                     queue.remove_locked(transaction.tx_id, message.message_id)
                 self._dead_letter(message, reason="backout-threshold")
-                if self.journal is not None and message.is_persistent():
-                    self.journal.log_get(queue_name, message.message_id)
+                self._log_get(queue_name, message)
                 continue
             break
         if transaction is not None:
             transaction.record_locked(queue_name)
         else:
-            if self.journal is not None and message.is_persistent():
-                self.journal.log_get(queue_name, message.message_id)
+            if self._log_get(queue_name, message):
                 self._maybe_autocompact()
             self._maybe_report_delivery(queue_name, message)
         if self.metrics is not None:
@@ -517,8 +505,7 @@ class QueueManager:
         administrative, not application consumption.
         """
         message = self.queue(queue_name).get_by_id(message_id)
-        if self.journal is not None and message.is_persistent():
-            self.journal.log_get(queue_name, message_id)
+        if self._log_get(queue_name, message):
             self._maybe_autocompact()
         if self.metrics is not None:
             self.metrics.incr(f"gets.{self.name}")
@@ -556,8 +543,7 @@ class QueueManager:
         for queue_name in transaction.locked_queues():
             queue = self.queue(queue_name)
             for message in queue.commit_locked(transaction.tx_id):
-                if self.journal is not None and message.is_persistent():
-                    self.journal.log_get(queue_name, message.message_id)
+                self._log_get(queue_name, message)
                 # COD for syncpoint reads fires at commit (a rolled-back
                 # read produces no report, like MQ under syncpoint).
                 self._maybe_report_delivery(queue_name, message)
@@ -683,6 +669,13 @@ class QueueManager:
 
     # -- internals --------------------------------------------------------------------
 
+    def _log_get(self, queue_name: str, message: Message) -> bool:
+        """Journal a committed destructive get; true if a record was written."""
+        if self.journal is None or not message.is_persistent():
+            return False
+        self.journal.log_get(queue_name, message.message_id)
+        return True
+
     def _maybe_autocompact(self) -> None:
         """Checkpoint when the journal outgrew its compaction threshold.
 
@@ -737,8 +730,7 @@ class QueueManager:
         # The sweep removed the message from its queue; journal that
         # removal, or recovery would resurrect the message on the source
         # queue *and* restore the dead-lettered copy.
-        if self.journal is not None and message.is_persistent():
-            self.journal.log_get(queue_name, message.message_id)
+        self._log_get(queue_name, message)
         self._dead_letter(message, reason="expired")
 
     def _dead_letter(self, message: Message, reason: str) -> None:

@@ -49,7 +49,7 @@ records per force-out):
   checkpoint compaction automatically once the log grows past a bound, so
   ``rewrite`` cost is amortized over many appends.
 
-Records are serialized by a pluggable **codec**:
+Records are serialized by one of two **codecs**:
 
 * ``json`` (default) — one JSON document per line, human-readable;
 * ``binary`` — a compact length-prefixed frame (magic byte, 4-byte length,
@@ -61,25 +61,20 @@ with ``{``, a binary frame with its magic byte), so journals written under
 one codec — or a mixture, e.g. a JSON log appended to by a binary-codec
 journal after an upgrade — replay unchanged.
 
-Three stores exist: :class:`FileJournal` (frames on disk, one persistent
-append handle), :class:`SQLiteJournal` (one SQLite database in WAL mode,
-commit groups as SQL transactions), and :class:`MemoryJournal` (same
-record stream, kept in a list; used by tests that inject crashes without
-touching the filesystem).  All count ``flush_count`` / ``bytes_written`` /
-batch sizes, and report them through an attached
-:class:`~repro.obs.registry.MetricsRegistry` (``journal.flushes``,
-``journal.records``, ``journal.bytes``, ``journal.batch_records``) when
-the owning manager carries one.
+Two log stores exist: :class:`FileJournal` (frames on disk, one persistent
+append handle) and :class:`MemoryJournal` (same record stream, kept in a
+list; used by tests that inject crashes without touching the filesystem).
+Both count ``flush_count`` / ``bytes_written`` / batch sizes, and report
+them through an attached :class:`~repro.obs.registry.MetricsRegistry`
+(``journal.flushes``, ``journal.records``, ``journal.bytes``,
+``journal.batch_records``) when the owning manager carries one.
 
-Deployments pick the store by URL through the **backend registry**:
-:func:`journal_for` maps ``memory:``, ``file:<path>``, ``sqlite:<path>``,
-and ``binfile:<path>`` (a file journal defaulting to the binary codec) to
-a constructed journal — a ``?codec=<name>`` query selects the codec
-explicitly (``file:/var/lib/qm.journal?codec=binary``) — and
-:func:`journal_factory_for` derives per-manager journals for
-testbed-style deployments.  :func:`register_journal_backend` adds new
-schemes, and :func:`register_journal_codec` new codecs, without touching
-callers.
+Deployments pick the store by URL: :data:`JOURNAL_SCHEMES` is the one
+place the list of stores is written (the log journals above plus
+``sqlstore:``, the SQL store of :mod:`repro.mq.sqlstore`, which is not a
+log at all), :func:`journal_for` maps a URL to a constructed store, and
+:func:`journal_factory_for` derives per-manager stores for testbed-style
+deployments.
 """
 
 from __future__ import annotations
@@ -89,7 +84,6 @@ import json
 import logging
 import os
 import pickle
-import sqlite3
 import struct
 import zlib
 from abc import ABC, abstractmethod
@@ -231,17 +225,16 @@ def decode_message(record: Dict[str, Any]) -> Message:
         raise PersistenceError(f"journal message record missing field {exc}") from exc
 
 
-def _expand_record(record: Dict[str, Any], out: List[Dict[str, Any]]) -> None:
-    """Append ``record`` to ``out``, inlining ``group`` wrapper records.
+def _logical_records(record: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The logical records one decoded JSON line carries.
 
     A ``group`` record is the single-frame envelope a multi-record commit
     group is written as (see :meth:`Journal._write_group`); readers see
     the logical member records, never the envelope.
     """
     if record.get("op") == "group":
-        out.extend(record.get("records", []))
-    else:
-        out.append(record)
+        return record.get("records", [])
+    return [record]
 
 
 def _check_sync_policy(sync: str) -> str:
@@ -316,33 +309,12 @@ class BinaryRecordCodec:
         return _bin_frame(_MAGIC_GROUP, b"".join(frames))
 
 
-#: codec name -> codec instance (stateless singletons).
-JOURNAL_CODECS: Dict[str, Any] = {}
-
-
-def register_journal_codec(codec: Any) -> None:
-    """Register a record codec under ``codec.name``.
-
-    A codec provides ``encode_record(record) -> bytes`` (a self-delimiting
-    frame) and ``wrap_group(frames) -> bytes`` (one physical frame holding
-    the member frames).  Decoding is codec-independent: the frame scanner
-    recognizes every registered format by its first byte.
-    """
-    JOURNAL_CODECS[codec.name] = codec
-
-
-register_journal_codec(JsonLinesCodec())
-register_journal_codec(BinaryRecordCodec())
-
-
-def _codec_named(name: str) -> Any:
-    try:
-        return JOURNAL_CODECS[name]
-    except KeyError:
-        raise PersistenceError(
-            f"unknown journal codec {name!r}; registered:"
-            f" {sorted(JOURNAL_CODECS)}"
-        ) from None
+#: codec name -> codec instance (stateless singletons).  A codec provides
+#: ``encode_record(record) -> bytes`` (a self-delimiting frame) and
+#: ``wrap_group(frames) -> bytes`` (one physical frame holding the member
+#: frames).  Decoding is codec-independent: the frame scanner recognizes
+#: both formats by their first byte.
+_CODECS: Dict[str, Any] = {"json": JsonLinesCodec(), "binary": BinaryRecordCodec()}
 
 
 def _unpickle_record(payload: bytes, offset: int, source: str) -> Dict[str, Any]:
@@ -407,9 +379,7 @@ def _count_json_line(line: bytes) -> int:
     """
     if line.startswith(b'{"op": "group"'):
         try:
-            expanded: List[Dict[str, Any]] = []
-            _expand_record(json.loads(line), expanded)
-            return len(expanded)
+            return len(_logical_records(json.loads(line)))
         except json.JSONDecodeError:
             pass
     return 1
@@ -511,9 +481,9 @@ def _scan_journal(
                         f"corrupt journal record at byte {line_start}"
                         f" in {source}"
                     ) from exc
-                before = len(records)
-                _expand_record(record, records)
-                count += len(records) - before
+                members = _logical_records(record)
+                records.extend(members)
+                count += len(members)
             else:
                 count += _count_json_line(line)
             valid_end = offset
@@ -538,30 +508,25 @@ class Journal(ABC):
             once the live log holds at least this many records; the owning
             queue manager then checkpoints automatically, amortizing the
             rewrite cost over many appends.
-        codec: Record serialization format — a registered codec name
-            (``"json"`` / ``"binary"``) or a codec instance.  Reading is
-            always format-auto-detecting, so the codec only governs new
-            appends; an existing journal written under another codec
-            replays unchanged.
+        codec: Record serialization format, ``"json"`` or ``"binary"``.
+            Reading is always format-auto-detecting, so the codec only
+            governs new appends; an existing journal written under another
+            codec replays unchanged.
     """
-
-    #: Whether multi-record commit groups must be wrapped into one
-    #: physical ``group`` frame before reaching :meth:`_write_serialized`.
-    #: Frame-oriented stores need the wrapper for torn-write atomicity; a
-    #: store with engine-level transactions (:class:`SQLiteJournal`) sets
-    #: this false and receives the member records individually, committing
-    #: them as one transaction instead.
-    wraps_groups = True
 
     def __init__(
         self,
         sync: str = "always",
         compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
+        codec: str = "json",
     ) -> None:
         self.sync_policy = _check_sync_policy(sync)
         self.compaction_threshold = compaction_threshold
-        self.codec = _codec_named(codec) if isinstance(codec, str) else codec
+        if codec not in _CODECS:
+            raise PersistenceError(
+                f"unknown journal codec {codec!r}; expected one of {sorted(_CODECS)}"
+            )
+        self.codec = _CODECS[codec]
         #: records durably handed to the store over this object's lifetime
         self.records_written = 0
         #: commit groups written (each is one write+flush; the unit whose
@@ -741,14 +706,12 @@ class Journal(ABC):
             self._write_group(frames)
 
     def _write_group(self, frames: List[bytes]) -> None:
-        if self.wraps_groups and len(frames) > 1:
+        if len(frames) > 1:
             # A multi-record group becomes ONE physical frame, so a torn
             # write cannot persist a prefix of the group: either the frame
             # decodes and the whole group replays, or it is dropped as the
             # torn tail.  Members are serialized already; wrap without
-            # re-serializing.  Stores with engine transactions
-            # (``wraps_groups = False``) instead receive the members
-            # individually and commit them as one transaction.
+            # re-serializing.
             physical = [self.codec.wrap_group(frames)]
         else:
             physical = frames
@@ -913,27 +876,21 @@ class Journal(ABC):
 
     # -- logical operations -------------------------------------------------
 
+    def _put_record(self, queue_name: str, message: Message) -> Dict[str, Any]:
+        return {
+            "op": "put",
+            "queue": queue_name,
+            "message": encode_message(message, native=self.codec.native_bodies),
+        }
+
     def log_put(self, queue_name: str, message: Message) -> None:
         """Record a committed put of a persistent message."""
-        native = getattr(self.codec, "native_bodies", False)
-        self.append(
-            {
-                "op": "put",
-                "queue": queue_name,
-                "message": encode_message(message, native=native),
-            }
-        )
+        self.append(self._put_record(queue_name, message))
 
     def log_put_many(self, puts: Iterable[Tuple[str, Message]]) -> None:
         """Record a batch of committed puts as one commit group."""
-        native = getattr(self.codec, "native_bodies", False)
         self.append_many(
-            {
-                "op": "put",
-                "queue": queue_name,
-                "message": encode_message(message, native=native),
-            }
-            for queue_name, message in puts
+            self._put_record(queue_name, message) for queue_name, message in puts
         )
 
     def log_get(self, queue_name: str, message_id: str) -> None:
@@ -951,19 +908,12 @@ class Journal(ABC):
     def checkpoint(self, queues: Dict[str, List[Message]]) -> None:
         """Compact the log to a single snapshot of current persistent state."""
         self.drain()
-        native = getattr(self.codec, "native_bodies", False)
         records: List[Dict[str, Any]] = [{"op": "snapshot-begin"}]
         for queue_name in sorted(queues):
             records.append({"op": "define", "queue": queue_name})
             for message in queues[queue_name]:
                 if message.is_persistent():
-                    records.append(
-                        {
-                            "op": "put",
-                            "queue": queue_name,
-                            "message": encode_message(message, native=native),
-                        }
-                    )
+                    records.append(self._put_record(queue_name, message))
         records.append({"op": "snapshot-end"})
         self.rewrite(records)
         self.rewrites += 1
@@ -1026,7 +976,7 @@ class MemoryJournal(Journal):
         self,
         sync: str = "always",
         compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
+        codec: str = "json",
     ) -> None:
         super().__init__(
             sync=sync, compaction_threshold=compaction_threshold, codec=codec
@@ -1081,7 +1031,7 @@ class FileJournal(Journal):
         path: str,
         sync: str = "always",
         compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
+        codec: str = "json",
     ) -> None:
         super().__init__(
             sync=sync, compaction_threshold=compaction_threshold, codec=codec
@@ -1215,259 +1165,39 @@ class FileJournal(Journal):
         return self._records_in_log
 
 
-class SQLiteJournal(Journal):
-    """Journal stored in one SQLite database in WAL mode.
-
-    Torn-write atomicity comes from the storage engine instead of the
-    file journal's one-physical-frame group trick: ``wraps_groups`` is
-    false, so a multi-record commit group arrives as individual member
-    records and is inserted inside a single SQL transaction — the engine
-    guarantees the whole group is durable or none of it is, even across
-    a crash mid-commit.  The crash-point hooks fire at the same
-    boundaries as the other stores (pre-flush before ``BEGIN``,
-    post-flush after ``COMMIT``), so the chaos explorer can kill the
-    manager mid-commit and recovery sees exactly the engine's view.
-
-    Rows are stored as text under the JSON codec (back-compatible with
-    existing databases) and as raw frame blobs under the binary codec;
-    reads dispatch on the row's type.
-
-    The sync policy maps onto ``PRAGMA synchronous``:
-
-    * ``always``  → ``FULL``   (every commit group reaches stable storage
-      before the put returns — the paper's reliability stance);
-    * ``batch``   → ``NORMAL`` (WAL syncs on checkpoints; an OS crash can
-      lose the tail of recent commit groups, never corrupt older ones —
-      the file journal's ``batch`` semantics);
-    * ``none``    → ``OFF``    (the OS decides; cheapest, weakest).
-
-    Checkpoint compaction (:meth:`rewrite`) is a snapshot **table swap**:
-    the snapshot is written to a fresh table inside one transaction that
-    then drops the live table and renames the snapshot into place, so a
-    crash mid-checkpoint leaves either the old log or the new snapshot,
-    never a mixture.  ``skipped_trailing_records`` is always 0 — the
-    engine has no torn tails to heal.
-    """
-
-    wraps_groups = False
-
-    _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "none": "OFF"}
-
-    def __init__(
-        self,
-        path: str,
-        sync: str = "always",
-        compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
-    ) -> None:
-        super().__init__(
-            sync=sync, compaction_threshold=compaction_threshold, codec=codec
-        )
-        self.path = path
-        self._con: Optional[sqlite3.Connection] = None
-        directory = os.path.dirname(os.path.abspath(path))
-        try:
-            os.makedirs(directory, exist_ok=True)
-            self._con = sqlite3.connect(path, isolation_level=None)
-            self._con.execute("PRAGMA journal_mode=WAL")
-            self._con.execute(
-                f"PRAGMA synchronous={self._SYNCHRONOUS[self.sync_policy]}"
-            )
-            self._con.execute(
-                "CREATE TABLE IF NOT EXISTS log ("
-                " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-                " record TEXT NOT NULL)"
-            )
-            row = self._con.execute("SELECT COUNT(*) FROM log").fetchone()
-            self._record_count = int(row[0])
-        except (sqlite3.Error, OSError) as exc:
-            # A half-open store (connect succeeded but a PRAGMA or the
-            # schema probe failed, e.g. the path holds a non-SQLite file)
-            # must not leak the connection and its -wal/-shm handles.
-            self._close_quietly()
-            raise PersistenceError(f"sqlite journal open failed: {exc}") from exc
-
-    def _close_quietly(self) -> None:
-        """Drop the DB handle without raising (refusal/teardown paths)."""
-        con, self._con = self._con, None
-        if con is not None:
-            try:
-                con.close()
-            except sqlite3.Error:  # pragma: no cover - close cannot really fail
-                pass
-
-    @staticmethod
-    def _row_value(frame: bytes) -> Any:
-        # JSON frames stay TEXT rows (existing databases keep working and
-        # stay greppable); binary frames become blobs.
-        if frame[:1] == b"{":
-            return frame.decode("utf-8").rstrip("\n")
-        return sqlite3.Binary(frame)
-
-    def _write_serialized(self, frames: List[bytes], record_count: int) -> int:
-        """One commit group = one SQL transaction (engine atomicity)."""
-        try:
-            self._con.execute("BEGIN IMMEDIATE")
-            try:
-                self._con.executemany(
-                    "INSERT INTO log(record) VALUES (?)",
-                    [(self._row_value(frame),) for frame in frames],
-                )
-            except BaseException:
-                self._con.execute("ROLLBACK")
-                raise
-            self._con.execute("COMMIT")
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal append failed: {exc}") from exc
-        self._record_count += record_count
-        return sum(len(frame) for frame in frames)
-
-    def read_all(self) -> List[Dict[str, Any]]:
-        self.drain()
-        self.skipped_trailing_records = 0  # the engine has no torn tails
-        records: List[Dict[str, Any]] = []
-        try:
-            rows = self._con.execute(
-                "SELECT seq, record FROM log ORDER BY seq"
-            ).fetchall()
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal read failed: {exc}") from exc
-        for seq, value in rows:
-            if isinstance(value, bytes):
-                frame_records, _, _, torn = _scan_journal(
-                    value, f"{self.path} seq={seq}"
-                )
-                if torn:
-                    # Unlike a frame file, a committed row cannot be a
-                    # crash artifact: any corruption is real and recovery
-                    # refuses.  A refused store is unusable, so the DB
-                    # handle (and its WAL/SHM siblings) is released before
-                    # the refusal propagates — the caller only sees the
-                    # exception and could never close the journal itself.
-                    self._close_quietly()
-                    raise PersistenceError(
-                        f"corrupt journal row seq={seq} in {self.path}"
-                    )
-                records.extend(frame_records)
-                continue
-            try:
-                _expand_record(json.loads(value), records)
-            except json.JSONDecodeError as exc:
-                self._close_quietly()
-                raise PersistenceError(
-                    f"corrupt journal row seq={seq} in {self.path}"
-                ) from exc
-        return records
-
-    def recover(self) -> Tuple[List[str], Dict[str, List[Message]]]:
-        """Replay the log; on refusal, release the DB handle first.
-
-        Corruption can also surface while the base replay decodes
-        individual records (not just while :meth:`read_all` scans rows),
-        and recovery is typically the *only* reference the caller holds —
-        :meth:`QueueManager.recover` never gets a journal back to close.
-        """
-        try:
-            return super().recover()
-        except PersistenceError:
-            self._close_quietly()
-            raise
-
-    def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
-        self.drain()
-        frames = [self.codec.encode_record(record) for record in records]
-        try:
-            self._con.execute("BEGIN IMMEDIATE")
-            try:
-                self._con.execute("DROP TABLE IF EXISTS log_snapshot")
-                self._con.execute(
-                    "CREATE TABLE log_snapshot ("
-                    " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-                    " record TEXT NOT NULL)"
-                )
-                self._con.executemany(
-                    "INSERT INTO log_snapshot(record) VALUES (?)",
-                    [(self._row_value(frame),) for frame in frames],
-                )
-                self._con.execute("DROP TABLE log")
-                self._con.execute("ALTER TABLE log_snapshot RENAME TO log")
-            except BaseException:
-                self._con.execute("ROLLBACK")
-                raise
-            self._con.execute("COMMIT")
-            if self.sync_policy != "none":
-                # Match FileJournal.rewrite forcing the snapshot out: fold
-                # the WAL into the main database and fsync it.
-                self._con.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal rewrite failed: {exc}") from exc
-        self._record_count = len(frames)
-
-    def sync(self) -> None:
-        """Force everything committed so far to stable storage."""
-        self.drain()
-        try:
-            self._con.execute("PRAGMA wal_checkpoint(FULL)")
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal sync failed: {exc}") from exc
-
-    def close(self) -> None:
-        """Checkpoint the WAL (per the sync policy) and close the handle."""
-        self.drain()
-        if self._con is None:
-            return  # already released by a recovery refusal
-        try:
-            if self.sync_policy != "none":
-                self._con.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error:
-            pass  # closing must succeed even over a checkpoint hiccup
-        self._close_quietly()
-
-    def size(self) -> int:
-        """Number of logical records currently in the live log."""
-        return self._record_count
 
 
 # ---------------------------------------------------------------------------
-# Backend registry
+# Scheme table: the one place the list of stores is written
 # ---------------------------------------------------------------------------
 
-#: scheme -> factory(path, sync=..., compaction_threshold=...) -> Journal
-JOURNAL_BACKENDS: Dict[str, Callable[..., Journal]] = {}
 
-#: Journal filename suffix per backend (used by :func:`journal_factory_for`).
-JOURNAL_SUFFIXES: Dict[str, str] = {}
+def _open_sql_store(path: str, sync: str = "always") -> Any:
+    from repro.mq.sqlstore import SqlQueueStore  # it imports this module
 
-#: Backends that need no path (the URL's path part is ignored).
-_PATHLESS_BACKENDS = {"memory"}
+    return SqlQueueStore(path, sync=sync)
 
 
-def register_journal_backend(
-    scheme: str, factory: Callable[..., Journal], suffix: str = ".journal"
-) -> None:
-    """Register a journal backend under a URL scheme.
-
-    ``factory(path, sync=..., compaction_threshold=...)`` must return a
-    :class:`Journal`; factories for codec-aware stores also accept a
-    ``codec`` keyword.  Registering an existing scheme replaces it, so
-    tests can shadow a backend with an instrumented one.
-    """
-    if not scheme or not scheme.isalnum():
-        raise PersistenceError(f"bad journal backend scheme {scheme!r}")
-    JOURNAL_BACKENDS[scheme.lower()] = factory
-    JOURNAL_SUFFIXES[scheme.lower()] = suffix
+#: URL scheme -> (constructor taking the path, default codec, per-manager
+#: filename suffix, needs a path).  Codec ``None`` marks the store that is not
+#: a log: ``codec`` and ``compaction_threshold`` are accepted and ignored for it.
+JOURNAL_SCHEMES: Dict[str, tuple] = {
+    "memory": (lambda _path, **kw: MemoryJournal(**kw), "json", "", False),
+    "file": (FileJournal, "json", ".journal", True),
+    "binfile": (FileJournal, "binary", ".journal", True),
+    "sqlstore": (_open_sql_store, None, ".db", True),
+}
 
 
-register_journal_backend(
-    "memory",
-    lambda path, **kwargs: MemoryJournal(**kwargs),
-)
-register_journal_backend("file", FileJournal)
-register_journal_backend("sqlite", SQLiteJournal, suffix=".db")
-register_journal_backend(
-    "binfile",
-    lambda path, codec="binary", **kwargs: FileJournal(path, codec=codec, **kwargs),
-)
+def journal_scheme(scheme: str) -> tuple:
+    """The :data:`JOURNAL_SCHEMES` row for ``scheme`` (case-insensitive)."""
+    try:
+        return JOURNAL_SCHEMES[scheme.lower()]
+    except KeyError:
+        raise PersistenceError(
+            f"unknown journal backend {scheme!r}; expected one of:"
+            f" {', '.join(sorted(JOURNAL_SCHEMES))}"
+        ) from None
 
 
 def journal_for(
@@ -1476,53 +1206,40 @@ def journal_for(
     compaction_threshold: Optional[int] = None,
     codec: Optional[str] = None,
 ) -> Journal:
-    """Construct a journal from a backend URL (or bare file path).
+    """Construct a store from a backend URL (or bare file path).
 
-    ``memory:`` ignores any path; ``file:<path>`` and ``sqlite:<path>``
-    open (creating if needed) the named store; ``binfile:<path>`` is a
-    file journal defaulting to the binary codec; a bare path with no
-    scheme means ``file:``.  A ``?codec=<name>`` query (or the ``codec``
+    ``memory:`` ignores any path; ``file:<path>`` opens (creating if
+    needed) a JSON-lines file journal, ``binfile:<path>`` the same journal
+    defaulting to the binary codec, ``sqlstore:<path>`` a
+    :class:`~repro.mq.sqlstore.SqlQueueStore`; a bare path with no scheme
+    means ``file:``.  A ``?codec=<name>`` query (or the ``codec``
     argument) selects the record codec — recovery auto-detects formats,
     so switching codec over an existing journal is safe.  Unknown
-    schemes raise :class:`PersistenceError` naming the registered
-    backends.
+    schemes raise :class:`PersistenceError` naming the four above.
     """
     scheme, sep, path = url_or_path.partition(":")
     if not sep:
         scheme, path = "file", url_or_path
-    scheme = scheme.lower()
-    path, query_sep, query = path.partition("?")
-    if query_sep:
-        for pair in query.split("&"):
-            key, _, value = pair.partition("=")
-            if key == "codec" and value:
-                codec = value
-            elif key:
-                raise PersistenceError(
-                    f"unknown journal URL option {key!r} in {url_or_path!r}"
-                )
-    factory = JOURNAL_BACKENDS.get(scheme)
-    if factory is None and scheme == "sqlstore":
-        # The shared-store backend lives in repro.mq.sqlstore (it builds
-        # on this module, so it cannot be imported at the top).  Importing
-        # it registers the scheme.
-        import repro.mq.sqlstore  # noqa: F401  (import for side effect)
-
-        factory = JOURNAL_BACKENDS.get(scheme)
-    if factory is None:
-        raise PersistenceError(
-            f"unknown journal backend {scheme!r}; registered:"
-            f" {sorted(JOURNAL_BACKENDS)}"
-        )
-    if not path and scheme not in _PATHLESS_BACKENDS:
-        raise PersistenceError(f"journal backend {scheme!r} needs a path")
-    kwargs: Dict[str, Any] = {
-        "sync": sync,
-        "compaction_threshold": compaction_threshold,
-    }
-    if codec is not None:
-        kwargs["codec"] = codec
-    return factory(path, **kwargs)
+    path, _, query = path.partition("?")
+    for pair in query.split("&"):
+        key, _, value = pair.partition("=")
+        if key == "codec" and value:
+            codec = value
+        elif key:
+            raise PersistenceError(
+                f"unknown journal URL option {key!r} in {url_or_path!r}"
+            )
+    constructor, default_codec, _suffix, needs_path = journal_scheme(scheme)
+    if needs_path and not path:
+        raise PersistenceError(f"journal backend {scheme.lower()!r} needs a path")
+    if default_codec is None:
+        return constructor(path, sync=sync)
+    return constructor(
+        path,
+        sync=sync,
+        compaction_threshold=compaction_threshold,
+        codec=codec or default_codec,
+    )
 
 
 def journal_factory_for(
@@ -1532,7 +1249,7 @@ def journal_factory_for(
     compaction_threshold: Optional[int] = None,
     codec: Optional[str] = None,
 ) -> Callable[[str], Journal]:
-    """Per-manager journal factory for testbed-style deployments.
+    """Per-manager store factory for testbed-style deployments.
 
     Returns a ``factory(manager_name) -> Journal`` that places each
     manager's store under ``directory`` as ``<name>.journal`` /
@@ -1540,35 +1257,23 @@ def journal_factory_for(
     call configures a whole multi-manager deployment:
 
         Testbed(names, journaled=True,
-                journal_factory=journal_factory_for("sqlite", tmpdir))
+                journal_factory=journal_factory_for("binfile", tmpdir))
 
     ``memory`` needs no directory; every other backend requires one.
     ``codec`` (when given) selects the record codec for every journal.
     """
-    backend = backend.lower()
-    if backend == "sqlstore" and backend not in JOURNAL_BACKENDS:
-        import repro.mq.sqlstore  # noqa: F401  (registers the scheme)
-    if backend not in JOURNAL_BACKENDS:
-        raise PersistenceError(
-            f"unknown journal backend {backend!r}; registered:"
-            f" {sorted(JOURNAL_BACKENDS)}"
-        )
-    if backend in _PATHLESS_BACKENDS:
-        return lambda name: journal_for(
-            f"{backend}:",
-            sync=sync,
-            compaction_threshold=compaction_threshold,
-            codec=codec,
-        )
-    if directory is None:
-        raise PersistenceError(f"journal backend {backend!r} needs a directory")
-    suffix = JOURNAL_SUFFIXES.get(backend, ".journal")
+    _constructor, _codec, suffix, needs_path = journal_scheme(backend)
+    if needs_path and directory is None:
+        raise PersistenceError(f"journal backend {backend.lower()!r} needs a directory")
+
     def factory(name: str) -> Journal:
+        # ``memory:`` ignores the path, so it needs no case of its own.
         filename = name.replace(".", "_") + suffix
         return journal_for(
-            f"{backend}:{os.path.join(directory, filename)}",
+            f"{backend}:{os.path.join(directory or '', filename)}",
             sync=sync,
             compaction_threshold=compaction_threshold,
             codec=codec,
         )
+
     return factory

@@ -1,11 +1,11 @@
 """SQL-backed live queue store: the database *is* the queue manager state.
 
 Gray's "Queues Are Databases" argument, applied to this repo: instead of
-keeping queues as Python lists and using SQLite only as a recovery log
-(PR 5's :class:`~repro.mq.persistence.SQLiteJournal`), a
-:class:`SqlQueueStore` keeps every stored message as a row in one WAL-mode
-SQLite database.  The queue manager's live representation and its durable
-representation are the same thing, which buys three properties at once:
+keeping queues as Python lists over a recovery log
+(:class:`~repro.mq.persistence.FileJournal`), a :class:`SqlQueueStore`
+keeps every stored message as a row in one WAL-mode SQLite database.  The
+queue manager's live representation and its durable representation are
+the same thing, which buys three properties at once:
 
 * **Indexed gets.** ``get(selector=...)`` becomes an index scan over
   ``(queue, priority DESC, seq)`` with the selector lowered to a SQL
@@ -22,10 +22,10 @@ representation are the same thing, which buys three properties at once:
   owning manager's name so one manager's crash recovery releases only its
   own in-flight transactions.
 
-The store registers itself in the journal-backend registry under the URL
-scheme ``sqlstore:`` so ``QueueManager(..., journal="sqlstore:/path.db")``
-just works; the manager detects the store and routes queue operations
-through :class:`SqlMessageQueue` wrappers instead of journaling.
+The scheme table in :mod:`repro.mq.persistence` lists the store under
+``sqlstore:``, so ``QueueManager(..., journal="sqlstore:/path.db")`` just
+works; the manager detects the store and routes queue operations through
+:class:`SqlMessageQueue` wrappers instead of journaling.
 
 Durability model vs. journals: messages live in the database the moment
 the enclosing transaction commits, so in store mode even *non-persistent*
@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import pickle
 import sqlite3
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EmptyQueueError, MQError, PersistenceError, QueueFullError
 from repro.mq.message import Message
@@ -51,7 +52,6 @@ from repro.mq.persistence import (
     _check_sync_policy,
     decode_message,
     encode_message,
-    register_journal_backend,
 )
 from repro.mq.queue import DEFAULT_MAX_DEPTH, QueueStats
 from repro.mq.selectors import Selector
@@ -250,9 +250,6 @@ class SqlQueueStore:
     (simulated-time) use is assumed, as everywhere in this repo.
     """
 
-    #: Store transactions batch whole groups, like journal group commit.
-    wraps_groups = True
-
     def __init__(
         self,
         path: str,
@@ -280,6 +277,7 @@ class SqlQueueStore:
         #: :meth:`_maybe_analyze`).
         self._analyzed_at = 0
         try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
             self._con = sqlite3.connect(path)
             self._con.isolation_level = None  # explicit BEGIN/COMMIT
             self._con.execute("PRAGMA journal_mode=WAL")
@@ -294,7 +292,7 @@ class SqlQueueStore:
             for statement in _SCHEMA:
                 self._con.execute(statement)
             self._con.commit()
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, OSError) as exc:
             self._close_quietly()
             raise PersistenceError(f"cannot open queue store {path}: {exc}")
 
@@ -321,6 +319,11 @@ class SqlQueueStore:
             if self._tx_depth == 0:
                 self._finish_transaction()
 
+    def batch(self) -> ContextManager["SqlQueueStore"]:
+        """:meth:`transaction` under :meth:`Journal.batch`'s name (resolved per
+        call, so a tracer wrapping :meth:`transaction` sees these groups too)."""
+        return self.transaction()
+
     def _finish_transaction(self) -> None:
         ops = self._tx_ops
         if ops and self.on_pre_flush is not None:
@@ -342,8 +345,8 @@ class SqlQueueStore:
                 self.flush_count += 1
                 self.records_written += ops
                 if self.metrics is not None:
-                    self.metrics.inc("journal.flushes")
-                    self.metrics.inc("journal.records", ops)
+                    self.metrics.incr("journal.flushes")
+                    self.metrics.incr("journal.records", ops)
             self._maybe_analyze()
         # Run (and clear) post-commit hooks; a hook may enqueue more.
         while self._post_commit_hooks:
@@ -1022,18 +1025,3 @@ class SqlMessageQueue:
 
     def __repr__(self) -> str:
         return f"SqlMessageQueue({self.name!r}, depth={self.depth()})"
-
-
-def _sqlstore_factory(
-    path: str,
-    sync: str = "always",
-    compaction_threshold: Optional[int] = None,
-    codec: Optional[str] = None,
-) -> SqlQueueStore:
-    # Stores have no replay log to compact and no record codec; both
-    # journal-URL knobs are accepted (registry compatibility) and ignored.
-    del compaction_threshold, codec
-    return SqlQueueStore(path, sync=sync)
-
-
-register_journal_backend("sqlstore", _sqlstore_factory, suffix=".db")

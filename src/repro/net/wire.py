@@ -60,7 +60,7 @@ from repro.mq.network import (
     ChannelStats,
     Transport,
 )
-from repro.mq.persistence import decode_message, encode_message
+from repro.mq.persistence import decode_message, encode_body, encode_message
 from repro.net.framing import FRAME_HELLO, FrameError, decode_payload, peek_frame
 from repro.net.protocol import DEFAULT_WINDOW, ChannelEngine, ProtocolError
 from repro.obs.trace import STAGE_XMIT, cmid_of
@@ -209,6 +209,7 @@ class WireHost(Transport):
                 **engine.metrics,
                 "delivered": stats.delivered,
                 "duplicates_suppressed": stats.duplicates_suppressed,
+                "rejected": stats.failed_attempts,
             }
         return out
 
@@ -226,6 +227,13 @@ class WireHost(Transport):
         if target not in self._outbound:
             raise ChannelError(
                 f"host {self.name!r} has no wire channel to {target!r}"
+            )
+        if encode_body(message.body)["kind"] != "json":
+            # Refused before parking: the wire never carries pickle, so a
+            # spooled copy of this message could never be pumped.
+            raise ChannelError(
+                f"body of type {type(message.body).__name__} is not JSON-"
+                "representable and cannot cross the wire"
             )
         enveloped = message.with_properties(
             **{
@@ -543,6 +551,13 @@ class WireHost(Transport):
         stats: ChannelStats,
         event,
     ) -> None:
+        body = event.message.get("body")
+        if not isinstance(body, dict) or body.get("kind") != "json":
+            # Checked before decode_message, which would unpickle a body a
+            # peer labels "pickle": nothing is put, nothing is acked, and
+            # the ProtocolError drops the connection.
+            stats.failed_attempts += 1
+            raise ProtocolError(f"MSG from {peer!r} carries a non-JSON body")
         message = decode_message(event.message)
         seq = event.seq
         final_target = message.get_property(PROP_ROUTE_TARGET_MANAGER)

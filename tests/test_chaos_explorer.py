@@ -64,28 +64,6 @@ class TestEpisodeRuns:
             "torn trailing record" in record.message for record in caplog.records
         )
 
-    def test_sqlite_journal_episode(self, tmp_path):
-        # SQLite episodes carry no torn_tail faults — the engine gives
-        # transaction-level atomicity — but crash/recover cycles must
-        # still uphold every invariant on the recovered state.
-        spec = EpisodeSpec.generate(4, journal="sqlite")
-        assert not any(e.kind == "torn_tail" for e in spec.plan.events)
-        result = ChaosExplorer(journal_dir=str(tmp_path)).run_episode(spec)
-        assert result.ok, [str(v) for v in result.violations]
-        assert result.crashes >= 1
-
-    def test_sqlite_episode_replays_identically(self, tmp_path):
-        spec = EpisodeSpec.generate(7, journal="sqlite")
-        explorer = ChaosExplorer(journal_dir=str(tmp_path))
-        first = explorer.run_episode(spec)
-        second = explorer.replay(spec.to_json())
-        assert first.ok and second.ok
-        assert (first.sends, first.crashes, first.outcomes) == (
-            second.sends,
-            second.crashes,
-            second.outcomes,
-        )
-
     def test_sqlstore_episode_with_crashes(self, tmp_path):
         # The SQL-backed live store plays the journal's role: no replay
         # on recovery (the rows ARE the state), no torn_tail faults (the

@@ -9,8 +9,7 @@ migration story is "switch the codec, keep the log".  These tests pin:
 * mixed-format journals (JSON log appended to under the binary codec);
 * torn-tail healing of binary frames and group-frame atomicity;
 * CRC rejection of mid-file corruption;
-* the ``binfile:`` backend URL and the ``?codec=`` query;
-* the sqlite store's binary rows.
+* the ``binfile:`` backend URL and the ``?codec=`` query.
 """
 
 import os
@@ -24,7 +23,6 @@ from repro.mq.persistence import (
     BinaryRecordCodec,
     FileJournal,
     JsonLinesCodec,
-    SQLiteJournal,
     journal_for,
 )
 from repro.sim.clock import SimulatedClock
@@ -160,31 +158,6 @@ def test_binfile_url_and_codec_query(tmp_path):
 
     with pytest.raises(PersistenceError):
         journal_for(f"file:{query_path}?codec=nonesuch")
-
-
-def test_sqlite_stores_binary_rows(tmp_path):
-    path = str(tmp_path / "j.db")
-    journal = SQLiteJournal(path, codec="binary")
-    body = {"blob": b"\x00\x01"}
-    journal.append(record(1, body=body))
-    journal.append_many([record(2), record(3)])
-    journal.close()
-    reopened = SQLiteJournal(path, codec="binary")
-    rows = reopened.read_all()
-    assert [r["message"]["n"] for r in rows] == [1, 2, 3]
-    assert rows[0]["message"]["body"] == body
-    reopened.close()
-
-
-def test_sqlite_mixed_codec_rows_replay_together(tmp_path):
-    path = str(tmp_path / "j.db")
-    journal = SQLiteJournal(path, codec="json")
-    journal.append(record(1))
-    journal.close()
-    binary = SQLiteJournal(path, codec="binary")
-    binary.append(record(2))
-    assert [r["message"]["n"] for r in binary.read_all()] == [1, 2]
-    binary.close()
 
 
 def test_binary_codec_rejects_unpicklable_records(tmp_path):

@@ -16,7 +16,12 @@ import pytest
 from repro.errors import QueueFullError, PersistenceError
 from repro.mq.manager import QueueManager
 from repro.mq.message import DeliveryMode, Message
-from repro.mq.persistence import FileJournal, MemoryJournal, SQLiteJournal
+from repro.mq.persistence import (
+    JOURNAL_SCHEMES,
+    FileJournal,
+    MemoryJournal,
+    journal_factory_for,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import SimulatedClock
 
@@ -408,7 +413,7 @@ class TestAutoCompaction:
 
 
 def _run_workload(clock, journal, seed, use_batching):
-    """Drive one randomized put/get interleaving; returns ops applied.
+    """Drive one randomized put/get interleaving; returns the manager.
 
     ``use_batching=True`` routes puts through ``put_many`` under
     ``group_commit``; ``False`` uses per-record ``put``/``get`` journaling.
@@ -455,14 +460,26 @@ def _run_workload(clock, journal, seed, use_batching):
                 manager.put(queue, message)
         elif manager.depth(queue) > 0:
             manager.get(queue)
+    return manager
+
+
+def _state(manager, persistent_only=False):
+    return {
+        q: [
+            (m.body, m.priority)
+            for m in manager.browse(q)
+            if m.is_persistent() or not persistent_only
+        ]
+        for q in ("A.Q", "B.Q")
+    }
 
 
 def _recovered_state(clock, journal):
-    recovered = QueueManager.recover("QM.EQ", clock, journal)
-    return {
-        q: [(m.body, m.priority) for m in recovered.browse(q)]
-        for q in ("A.Q", "B.Q")
-    }
+    return _state(QueueManager.recover("QM.EQ", clock, journal))
+
+
+#: schemes whose store survives in a file a fresh object can reopen
+PATH_SCHEMES = [s for s in sorted(JOURNAL_SCHEMES) if JOURNAL_SCHEMES[s][3]]
 
 
 class TestRecoveryEquivalence:
@@ -481,49 +498,48 @@ class TestRecoveryEquivalence:
         assert batched.flush_count < unbatched.flush_count
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_file_journal_equivalence_across_restart(self, clock, seed, tmp_path):
-        path_b = str(tmp_path / "batched.journal")
-        path_u = str(tmp_path / "unbatched.journal")
-        _run_workload(
-            clock, FileJournal(path_b, sync="batch"), seed, use_batching=True
-        )
-        _run_workload(
-            clock, FileJournal(path_u, sync="always"), seed, use_batching=False
-        )
-        # Fresh journal objects = a process restart.
-        state_b = _recovered_state(clock, FileJournal(path_b))
-        state_u = _recovered_state(clock, FileJournal(path_u))
-        assert state_b == state_u
+    @pytest.mark.parametrize("scheme", PATH_SCHEMES)
+    def test_equivalence_across_restart(self, clock, scheme, seed, tmp_path):
+        def open_pair(**kwargs):
+            return [
+                journal_factory_for(scheme, str(tmp_path), **kwargs)(name)
+                for name in ("batched", "unbatched")
+            ]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sqlite_journal_equivalence_across_restart(self, clock, seed, tmp_path):
-        path_b = str(tmp_path / "batched.db")
-        path_u = str(tmp_path / "unbatched.db")
-        _run_workload(
-            clock, SQLiteJournal(path_b, sync="batch"), seed, use_batching=True
+        batched, unbatched = open_pair(sync="batch")
+        _run_workload(clock, batched, seed, use_batching=True)
+        _run_workload(clock, unbatched, seed, use_batching=False)
+        batched.close()
+        unbatched.close()
+        # Fresh store objects = a process restart.
+        reopened_b, reopened_u = open_pair()
+        assert _recovered_state(clock, reopened_b) == _recovered_state(
+            clock, reopened_u
         )
-        _run_workload(
-            clock, SQLiteJournal(path_u, sync="always"), seed, use_batching=False
-        )
-        # Fresh journal objects = a process restart.
-        state_b = _recovered_state(clock, SQLiteJournal(path_b))
-        state_u = _recovered_state(clock, SQLiteJournal(path_u))
-        assert state_b == state_u
+        reopened_b.close()
+        reopened_u.close()
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_cross_backend_equivalence(self, clock, seed, tmp_path):
-        """The same batched op sequence recovers identical state from
-        every backend — memory, file, and sqlite."""
-        journals = {
-            "memory": MemoryJournal(sync="batch"),
-            "file": FileJournal(str(tmp_path / "eq.journal"), sync="batch"),
-            "sqlite": SQLiteJournal(str(tmp_path / "eq.db"), sync="batch"),
-        }
-        states = {}
-        for backend, journal in journals.items():
-            _run_workload(clock, journal, seed, use_batching=True)
-            states[backend] = _recovered_state(clock, journal)
-        assert states["memory"] == states["file"] == states["sqlite"]
+        """The same batched op sequence recovers identical persistent
+        state from every store of the scheme table."""
+        persistent = {}
+        for scheme in sorted(JOURNAL_SCHEMES):
+            journal = journal_factory_for(scheme, str(tmp_path), sync="batch")(
+                f"eq-{scheme}"  # file: and binfile: share a suffix
+            )
+            crashed = _run_workload(clock, journal, seed, use_batching=True)
+            persistent[scheme] = _state(crashed, persistent_only=True)
+            recovered = _recovered_state(clock, journal)
+            if scheme == "sqlstore":
+                # The database outlives the manager: non-persistent
+                # messages are still there after the restart.
+                assert recovered == _state(crashed)
+            else:
+                assert recovered == persistent[scheme]
+            journal.close()
+        for scheme in JOURNAL_SCHEMES:
+            assert persistent[scheme] == persistent["memory"]
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_equivalence_with_auto_compaction(self, clock, seed):

@@ -1,0 +1,348 @@
+"""The durable stores behind one scheme table: a conformance suite every
+scheme of ``JOURNAL_SCHEMES`` passes, URL parsing (`journal_for` /
+`journal_factory_for`), and post-commit hook lifetime across aborted
+commit groups."""
+
+import pytest
+
+from repro.errors import PersistenceError
+from repro.mq.manager import QueueManager
+from repro.mq.message import DeliveryMode, Message
+from repro.mq.persistence import (
+    JOURNAL_SCHEMES,
+    FileJournal,
+    MemoryJournal,
+    journal_factory_for,
+    journal_for,
+)
+from repro.mq.sqlstore import SqlQueueStore
+from repro.obs.registry import MetricsRegistry
+from repro.sim.clock import SimulatedClock
+
+SCHEMES = sorted(JOURNAL_SCHEMES)
+#: schemes whose store lives at a path (everything but ``memory``)
+PATH_SCHEMES = [s for s in SCHEMES if JOURNAL_SCHEMES[s][3]]
+#: schemes that keep a replay log (everything but ``sqlstore``)
+LOG_SCHEMES = [s for s in SCHEMES if JOURNAL_SCHEMES[s][1] is not None]
+
+
+@pytest.fixture
+def clock():
+    return SimulatedClock()
+
+
+class SimulatedCrash(BaseException):
+    """Stands in for repro.chaos.faults.CrashPoint (BaseException, too)."""
+
+
+def open_store(scheme, tmp_path, **kwargs):
+    return journal_factory_for(scheme, str(tmp_path), **kwargs)("QM.S")
+
+
+def durable(manager):
+    return manager.journal or manager.store
+
+
+def restart(scheme, tmp_path, clock, manager):
+    """Crash ``manager`` and recover it the way a new process would: a
+    fresh store object over the same path (``memory`` has no path, so its
+    surviving journal object *is* the restart)."""
+    store = durable(manager)
+    if scheme in PATH_SCHEMES:
+        store.close()
+        store = open_store(scheme, tmp_path)
+    return QueueManager.recover("QM.S", clock, store)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestStoreConformance:
+    """What the conditional-messaging layer needs of a store, checked on
+    every scheme the table offers."""
+
+    def test_roundtrip_across_restart(self, scheme, clock, tmp_path):
+        manager = QueueManager("QM.S", clock, journal=open_store(scheme, tmp_path))
+        manager.define_queue("A.Q")
+        manager.put("A.Q", Message(body={"k": 1}))
+        manager.put("A.Q", Message(body="two", priority=7))
+        manager.get("A.Q")  # removes priority-7 "two" first
+        recovered = restart(scheme, tmp_path, clock, manager)
+        assert [m.body for m in recovered.browse("A.Q")] == [{"k": 1}]
+        durable(recovered).close()
+
+    def test_non_persistent_messages_across_restart(self, scheme, clock, tmp_path):
+        manager = QueueManager("QM.S", clock, journal=open_store(scheme, tmp_path))
+        manager.define_queue("A.Q")
+        manager.put("A.Q", Message(body="kept"))
+        manager.put(
+            "A.Q", Message(body="volatile", delivery_mode=DeliveryMode.NON_PERSISTENT)
+        )
+        recovered = restart(scheme, tmp_path, clock, manager)
+        bodies = [m.body for m in recovered.browse("A.Q")]
+        if scheme == "sqlstore":
+            # The one legitimate difference: the database outlives the
+            # manager, so nothing stored in it is lost with the manager.
+            assert bodies == ["kept", "volatile"]
+        else:
+            assert bodies == ["kept"]
+        durable(recovered).close()
+
+    def test_commit_group_is_one_flush(self, scheme, clock, tmp_path):
+        manager = QueueManager("QM.S", clock, journal=open_store(scheme, tmp_path))
+        manager.define_queue("A.Q")
+        store = durable(manager)
+        before = store.flush_count
+        with manager.group_commit():
+            for i in range(5):
+                manager.put("A.Q", Message(body=i))
+        assert store.flush_count - before == 1
+        store.close()
+
+    def test_pre_flush_crash_loses_whole_group(self, scheme, clock, tmp_path):
+        store = open_store(scheme, tmp_path, sync="none")
+        manager = QueueManager("QM.S", clock, journal=store)
+        manager.define_queue("A.Q")
+
+        def boom(record_count):
+            raise SimulatedCrash()
+
+        store.on_pre_flush = boom
+        with pytest.raises(SimulatedCrash):
+            with manager.group_commit():
+                manager.put("A.Q", Message(body="x"))
+                manager.put("A.Q", Message(body="y"))
+        store.on_pre_flush = None
+        recovered = QueueManager.recover("QM.S", clock, store)
+        assert list(recovered.browse("A.Q")) == []
+        store.close()
+
+    def test_post_flush_crash_keeps_whole_group(self, scheme, clock, tmp_path):
+        store = open_store(scheme, tmp_path, sync="none")
+        manager = QueueManager("QM.S", clock, journal=store)
+        manager.define_queue("A.Q")
+
+        def boom(record_count):
+            raise SimulatedCrash()
+
+        store.on_post_flush = boom
+        with pytest.raises(SimulatedCrash):
+            with manager.group_commit():
+                manager.put("A.Q", Message(body="x"))
+                manager.put("A.Q", Message(body="y"))
+        store.on_post_flush = None
+        recovered = QueueManager.recover("QM.S", clock, store)
+        assert sorted(m.body for m in recovered.browse("A.Q")) == ["x", "y"]
+        store.close()
+
+    def test_metrics_reported(self, scheme, clock, tmp_path):
+        # Regression (sqlstore): the store called MetricsRegistry.inc,
+        # which does not exist, and died on its first commit.
+        metrics = MetricsRegistry()
+        manager = QueueManager(
+            "QM.S", clock, journal=open_store(scheme, tmp_path), metrics=metrics
+        )
+        manager.define_queue("A.Q")
+        store = durable(manager)
+        flushes = metrics.counter("journal.flushes")
+        records = metrics.counter("journal.records")
+        written = store.records_written
+        with manager.group_commit():
+            manager.put("A.Q", Message(body=1))
+            manager.put("A.Q", Message(body=2))
+        assert metrics.counter("journal.flushes") - flushes == 1
+        # A log writes one record per put; the SQL store counts the row
+        # insert and the depth update of each put.  Either way the
+        # registry agrees with the store's own counter.
+        assert store.records_written - written == (4 if scheme == "sqlstore" else 2)
+        assert metrics.counter("journal.records") - records == (
+            store.records_written - written
+        )
+        store.close()
+
+    def test_close_is_idempotent(self, scheme, tmp_path):
+        store = open_store(scheme, tmp_path, sync="batch")
+        if scheme in PATH_SCHEMES:
+            store.sync()
+        store.close()
+        store.close()  # second close must not raise
+
+
+@pytest.mark.parametrize("scheme", LOG_SCHEMES)
+def test_auto_compaction(scheme, clock, tmp_path):
+    journal = open_store(scheme, tmp_path, compaction_threshold=20)
+    manager = QueueManager("QM.S", clock, journal=journal)
+    manager.define_queue("A.Q")
+    for i in range(40):
+        manager.put("A.Q", Message(body=i))
+    assert journal.rewrites >= 1
+    assert journal.size() < 50
+    recovered = QueueManager.recover("QM.S", clock, journal)
+    assert len(list(recovered.browse("A.Q"))) == 40
+    journal.close()
+
+
+class TestSchemeTable:
+    def test_journal_for_schemes(self, tmp_path):
+        memory = journal_for("memory:")
+        assert isinstance(memory, MemoryJournal)
+        file_journal = journal_for(f"file:{tmp_path}/a.journal", sync="batch")
+        assert isinstance(file_journal, FileJournal)
+        assert file_journal.sync_policy == "batch"
+        assert file_journal.codec.name == "json"
+        binfile = journal_for(f"BINFILE:{tmp_path}/b.journal")
+        assert isinstance(binfile, FileJournal)
+        assert binfile.codec.name == "binary"
+        store = journal_for(
+            f"sqlstore:{tmp_path}/a.db?codec=binary", compaction_threshold=9
+        )
+        assert isinstance(store, SqlQueueStore)  # log-only knobs ignored
+        for opened in (file_journal, binfile, store):
+            opened.close()
+
+    def test_bare_path_means_file(self, tmp_path):
+        journal = journal_for(str(tmp_path / "bare.journal"))
+        assert isinstance(journal, FileJournal)
+        journal.close()
+
+    def test_unknown_scheme_names_the_four(self):
+        # ``sqlite`` was a scheme once; it is unknown like any other now
+        # (schemes are matched case-insensitively).
+        for url in ("etcd:/somewhere", "SQLite:x"):
+            with pytest.raises(
+                PersistenceError, match="binfile, file, memory, sqlstore$"
+            ):
+                journal_for(url)
+
+    @pytest.mark.parametrize("scheme", PATH_SCHEMES)
+    def test_pathless_url_rejected(self, scheme):
+        with pytest.raises(PersistenceError, match="needs a path"):
+            journal_for(f"{scheme}:")
+
+    @pytest.mark.parametrize("scheme", PATH_SCHEMES)
+    def test_manager_accepts_backend_url(self, scheme, clock, tmp_path):
+        url = f"{scheme}:{tmp_path}/qm{JOURNAL_SCHEMES[scheme][2]}"
+        manager = QueueManager("QM.S", clock, journal=url)
+        manager.define_queue("A.Q")
+        manager.put("A.Q", Message(body=1))
+        durable(manager).close()
+        recovered = QueueManager.recover("QM.S", clock, url)
+        assert [m.body for m in recovered.browse("A.Q")] == [1]
+        durable(recovered).close()
+
+    @pytest.mark.parametrize("scheme", PATH_SCHEMES)
+    def test_factory_places_per_manager_stores(self, scheme, tmp_path):
+        # Regression (sqlstore): the store did not create its parent
+        # directory, so a fresh directory worked for file journals only.
+        fresh = tmp_path / "not" / "yet" / "there"
+        store = journal_factory_for(scheme, str(fresh))("QM.R1")
+        assert store.path == str(fresh / ("QM_R1" + JOURNAL_SCHEMES[scheme][2]))
+        store.close()
+
+    def test_memory_factory_needs_no_directory(self):
+        assert isinstance(journal_factory_for("memory")("QM.R1"), MemoryJournal)
+
+    def test_unopenable_path_is_a_persistence_error(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        for scheme in PATH_SCHEMES:
+            with pytest.raises(PersistenceError):
+                journal_for(f"{scheme}:{blocker}/child/qm.store")
+
+    def test_factory_requires_directory(self):
+        for scheme in PATH_SCHEMES:
+            with pytest.raises(PersistenceError, match="directory"):
+                journal_factory_for(scheme)
+        with pytest.raises(PersistenceError, match="expected one of"):
+            journal_factory_for("etcd")
+
+
+class TestSqlStoreEngine:
+    """What the SQL store leaves to the SQLite engine, pinned here because
+    SEMANTICS.md §9.1 promises it."""
+
+    def test_wal_mode_and_synchronous_mapping(self, tmp_path):
+        for sync, expected in (("always", 2), ("batch", 1), ("none", 0)):
+            store = SqlQueueStore(str(tmp_path / "qm.db"), sync=sync)
+            assert store._con.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            assert store._con.execute("PRAGMA synchronous").fetchone()[0] == expected
+            assert store.skipped_trailing_records == 0  # no torn tails to heal
+            store.close()
+
+    def test_open_failure_on_non_sqlite_file_releases_handle(self, tmp_path):
+        path = tmp_path / "not-a-db.db"
+        path.write_text("plain text, definitely not SQLite")
+        with pytest.raises(PersistenceError):
+            SqlQueueStore(str(path))
+        # The refused path is immediately reusable (no lingering handle
+        # holding a half-initialised connection open).
+        assert path.read_text().startswith("plain text")
+
+
+class TestPostCommitHookLifetime:
+    """Aborted commit groups must drop their deferred callbacks — never
+    fire them early, never leak them into the next unrelated commit."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_pre_flush_crash_clears_hooks(self, scheme, tmp_path):
+        store = open_store(scheme, tmp_path)
+        fired = []
+
+        def stage(queue):
+            if scheme == "sqlstore":
+                store.define_queue(queue, 10)
+            else:
+                store.append({"op": "define", "queue": queue})
+
+        def boom(record_count):
+            raise SimulatedCrash()
+
+        store.on_pre_flush = boom
+        with pytest.raises(SimulatedCrash):
+            with store.batch():
+                stage("A.Q")
+                store.post_commit(lambda: fired.append("stale"))
+        store.on_pre_flush = None
+        assert not store._post_commit_hooks
+        # The next, unrelated commit must not fire the stale callback.
+        with store.batch():
+            stage("B.Q")
+        assert fired == []
+        store.close()
+
+    def test_body_abort_with_nothing_staged_drops_hooks(self):
+        journal = MemoryJournal()
+        fired = []
+        with pytest.raises(RuntimeError):
+            with journal.batch():
+                journal.post_commit(lambda: fired.append("early"))
+                raise RuntimeError("application error before any append")
+        # Nothing was staged, so nothing became durable: the callback
+        # must not run — not now, not on the next commit.
+        assert fired == []
+        with journal.batch():
+            journal.append({"op": "define", "queue": "B.Q"})
+        assert fired == []
+
+    def test_raising_hook_clears_reentrant_registrations(self):
+        journal = MemoryJournal()
+        fired = []
+
+        def hook_registers_then_dies():
+            journal._post_commit_hooks.append(lambda: fired.append("stale"))
+            raise SimulatedCrash()
+
+        with pytest.raises(SimulatedCrash):
+            with journal.batch():
+                journal.append({"op": "define", "queue": "A.Q"})
+                journal.post_commit(hook_registers_then_dies)
+        assert not journal._post_commit_hooks
+        with journal.batch():
+            journal.append({"op": "define", "queue": "B.Q"})
+        assert fired == []
+
+    def test_committed_group_still_fires_hooks(self):
+        journal = MemoryJournal()
+        fired = []
+        with journal.batch():
+            journal.append({"op": "define", "queue": "A.Q"})
+            journal.post_commit(lambda: fired.append("ok"))
+        assert fired == ["ok"]

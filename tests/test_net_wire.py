@@ -7,6 +7,8 @@ subprocess deployment is exercised by the harness runner tests).
 """
 
 import asyncio
+import base64
+import pickle
 import time
 
 import pytest
@@ -18,6 +20,8 @@ from repro.errors import ChannelError, QueueFullError
 from repro.mq.manager import XMIT_PREFIX, QueueManager
 from repro.mq.message import Message
 from repro.mq.network import Transport
+from repro.mq.persistence import encode_message
+from repro.net.framing import FRAME_HELLO, FRAME_MSG, encode_json_frame
 from repro.net.host import inbox_of, parse_addr, parse_peer
 from repro.net.wire import WireHost
 from repro.obs.registry import MetricsRegistry
@@ -96,6 +100,67 @@ class TestUnixRoundtrip:
             await ha.drain_outbound()
             assert metrics.counter("wire.frames_sent") > 0
             assert metrics.counter("wire.frames_received") > 0
+            await ha.close()
+            await hb.close()
+
+        asyncio.run(main())
+
+
+#: set by :class:`_Exploit` when (and only when) something unpickles it
+PWNED = []
+
+
+class _Exploit:
+    def __reduce__(self):
+        return (PWNED.append, ("unpickled",))
+
+
+class TestWireNeverUnpickles:
+    """``framing.py`` promises pickle never crosses a process boundary."""
+
+    def test_pickle_labelled_body_is_a_protocol_error(self, tmp_path):
+        async def main():
+            ma, mb, ha, hb = await linked_pair(tmp_path)
+            record = encode_message(Message(body="placeholder"))
+            record["body"] = {
+                "kind": "pickle",
+                "data": base64.b64encode(pickle.dumps(_Exploit())).decode("ascii"),
+            }
+            reader, writer = await asyncio.open_unix_connection(
+                str(tmp_path / "b.sock")
+            )
+            writer.write(
+                encode_json_frame(FRAME_HELLO, {"manager": "QM.EVIL", "role": "sender"})
+                + encode_json_frame(
+                    FRAME_MSG, {"seq": 1, "queue": "IN.Q", "message": record}
+                )
+            )
+            await writer.drain()
+            # The host answers the HELLO, then drops the connection.
+            while await asyncio.wait_for(reader.read(4096), timeout=5.0):
+                pass
+            writer.close()
+            assert PWNED == []
+            assert not mb.has_queue("IN.Q")  # nothing put, not even a queue
+            stats = hb.wire_stats()["in:QM.EVIL"]
+            assert stats["rejected"] == 1 and stats["delivered"] == 0
+            assert hb._inbound["QM.EVIL"].confirmed == 0  # nothing acked
+            # A well-formed peer is still served.
+            ma.put_remote("QM.B", "IN.Q", Message(body={"n": 1}))
+            await ha.drain_outbound()
+            assert [m.body for m in mb.browse("IN.Q")] == [{"n": 1}]
+            await ha.close()
+            await hb.close()
+
+        asyncio.run(main())
+
+    def test_unencodable_body_is_refused_before_the_spool(self, tmp_path):
+        async def main():
+            ma, mb, ha, hb = await linked_pair(tmp_path)
+            with pytest.raises(ChannelError, match="cannot cross the wire"):
+                ma.put_remote("QM.B", "IN.Q", Message(body={"blob": b"\x00"}))
+            # Nothing unpumpable was parked (or journaled) on the spool.
+            assert ma.depth(XMIT_PREFIX + "QM.B") == 0
             await ha.close()
             await hb.close()
 
