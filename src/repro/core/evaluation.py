@@ -167,6 +167,12 @@ class EvaluationManager:
                 self._pending -= 1
         self._records[cmid] = record
         self._pending += 1
+        if self.manager.metrics is not None:
+            # Decided records are kept (outcome() answers from them), so
+            # this only grows; the gauge makes that visible.
+            self.manager.metrics.set_gauge(
+                f"evaluation_records.{self.manager.name}", len(self._records)
+            )
         if evaluation_timeout_ms is not None:
             deadline = send_time_ms + evaluation_timeout_ms
             if self.scheduler is not None:

@@ -13,9 +13,9 @@ Final recipients read conditional messages through this service, which:
   ``DS.RLOG.Q``;
 * implements the compensation read rules of section 2.6: an original and
   its compensation that are both still in the queue cancel each other
-  out; a compensation whose original *was* consumed (RLOG entry exists)
-  is delivered to the application flagged as compensation; any other
-  compensation is discarded.
+  out; a compensation whose original *was* consumed from the same queue
+  (RLOG entry exists) is delivered to the application flagged as
+  compensation; any other compensation is discarded.
 
 A receiver "can also be a sender of a conditional message" — nothing here
 prevents attaching a :class:`~repro.core.service.ConditionalMessagingService`
@@ -359,11 +359,15 @@ class ConditionalMessagingReceiver:
         "In case that both the original message and the compensation
         message are in the queue ... both messages cancel each other out
         and will be deleted from the queue."
+
+        An original and its compensation share ``correlation_id = cmid``,
+        so only messages whose correlation id is shared within the queue
+        are inspected; an inbox without such a collision costs one
+        counter check however deep it is.
         """
-        queue = self.manager.queue(queue_name)
         originals: Dict[str, List[str]] = {}
         compensations: Dict[str, List[str]] = {}
-        for message in queue.browse():
+        for message in self.manager.queue(queue_name).find_collisions():
             if not control.is_conditional(message):
                 continue
             kind = control.message_kind(message)
@@ -384,11 +388,17 @@ class ConditionalMessagingReceiver:
         self.stats.cancellations += cancelled
         return cancelled
 
-    def _consumed_here(self, cmid: str) -> bool:
-        """True if DS.RLOG.Q records a consumption of ``cmid``."""
-        for message in self.manager.browse(self.rlog_queue):
+    def _consumed_here(self, cmid: str, queue_name: str) -> bool:
+        """True if DS.RLOG.Q records a consumption of ``cmid`` from
+        ``queue_name`` (log entries carry ``correlation_id = cmid``).
+
+        The queue matters: a manager may host several destination queues
+        of one conditional message, and a compensation is delivered only
+        where *its* original was consumed.
+        """
+        for message in self.manager.find_correlated(self.rlog_queue, cmid):
             body = message.body
-            if isinstance(body, dict) and body.get("cmid") == cmid:
+            if isinstance(body, dict) and body.get("queue") == queue_name:
                 return True
         return False
 
@@ -399,9 +409,9 @@ class ConditionalMessagingReceiver:
 
         The co-resident case was handled by :meth:`_cancel_pairs` before
         the get; reaching here means no matching original remains in the
-        queue.  Deliver only if the original was consumed locally.
+        queue.  Deliver only if the original was consumed from this queue.
         """
-        if self._consumed_here(info.cmid):
+        if self._consumed_here(info.cmid, queue_name):
             self.stats.compensations_delivered += 1
             return ReceivedMessage(
                 body=message.body,

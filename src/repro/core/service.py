@@ -360,10 +360,11 @@ class ConditionalMessagingService:
         return self.manager.group_commit()
 
     def _remove_log_entry(self, cmid: str) -> None:
-        # A destructive selector get journals the removal like any consume.
-        self.manager.get_wait(
-            self.slog_queue, selector=lambda m: m.correlation_id == cmid
-        )
+        # The entry carries correlation_id = cmid: a keyed lookup, then a
+        # journaled removal like any consume.
+        entries = self.manager.find_correlated(self.slog_queue, cmid)
+        if entries:
+            self.manager.get_by_id(self.slog_queue, entries[0].message_id)
 
     def _effective_timeout(
         self, condition: Condition, explicit: Optional[int]

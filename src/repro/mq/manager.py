@@ -519,6 +519,20 @@ class QueueManager:
         """Non-destructive scan of a local queue."""
         return self.queue(queue_name).browse(selector=selector)
 
+    def find_correlated(self, queue_name: str, correlation_id: str) -> List[Message]:
+        """Visible messages on a local queue carrying ``correlation_id``.
+
+        A keyed lookup (hash index or SQL index seek), not a browse: the
+        conditional layer finds a message's log entries and staged
+        compensations this way at a cost independent of queue depth.
+        """
+        return self.queue(queue_name).find_correlated(correlation_id)
+
+    def contains_id(self, queue_name: str, message_id: str) -> bool:
+        """True if a local queue stores a message with ``message_id``
+        (locked ones included)."""
+        return self.queue(queue_name).contains_id(message_id)
+
     def depth(self, queue_name: str) -> int:
         """Visible depth of a local queue."""
         return self.queue(queue_name).depth()

@@ -516,20 +516,18 @@ class MessageNetwork(Transport):
             self.send(chan.target, final_target, queue_name, stripped)
             return
         target_manager = self.manager(chan.target)
+        key = (chan.target, queue_name, enveloped.message_id)
         if self.exactly_once:
-            key = (chan.target, queue_name, enveloped.message_id)
             # Suppress a redelivery when the transfer already completed:
             # the resolution record covers the common case, the
-            # queue-presence scan the narrow one where a target crash
-            # after the durable delivery flush lost the record.
+            # queue-presence check (locked copies count) the narrow one
+            # where a target crash after the durable delivery flush lost
+            # the record.
             if key in self._delivered or (
                 target_manager.has_queue(queue_name)
-                and any(
-                    stored.message_id == enveloped.message_id
-                    for stored in target_manager.queue(queue_name).snapshot()
-                )
+                and target_manager.contains_id(queue_name, enveloped.message_id)
             ):
-                self._delivered.add(key)
+                self._record_delivered(target_manager, key)
                 chan.stats.duplicates_suppressed += 1
                 return
         # Strip the routing envelope before final delivery.  The stripped
@@ -550,14 +548,27 @@ class MessageNetwork(Transport):
                 )
                 chan.stats.dead_lettered += 1
                 if self.exactly_once:
-                    self._delivered.add(
-                        (chan.target, queue_name, enveloped.message_id)
-                    )
+                    self._record_delivered(target_manager, key)
                 return
         target_manager.put(queue_name, final)
         if self.exactly_once:
-            self._delivered.add((chan.target, queue_name, enveloped.message_id))
+            self._record_delivered(target_manager, key)
         chan.stats.delivered += 1
+
+    def _record_delivered(
+        self, target_manager: QueueManager, key: Tuple[str, str, str]
+    ) -> None:
+        """Enter a completed final delivery in the resolution ledger.
+
+        The ledger is never pruned (that needs the consumed watermark of
+        ROADMAP direction 1); its size is published on the receiving
+        manager's registry so the growth shows where an operator looks.
+        """
+        self._delivered.add(key)
+        if target_manager.metrics is not None:
+            target_manager.metrics.set_gauge(
+                "delivered_ledger.network", len(self._delivered)
+            )
 
     def _drain_xmit(self, chan: Channel) -> None:
         src_manager = self.manager(chan.source)

@@ -16,8 +16,9 @@ messaging middleware", section 2.4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import EmptyQueueError, MQError, QueueFullError
 from repro.mq.message import Message
@@ -41,22 +42,73 @@ class QueueStats:
     high_water_depth: int = 0
 
 
-@dataclass(order=True)
 class _Entry:
-    """Heap-free ordered entry: (negated priority, arrival seq) sorts first."""
+    """One stored message; (negated priority, arrival seq) sorts first.
 
-    sort_key: tuple
-    message: Message = field(compare=False)
-    locked_by: Optional[str] = field(default=None, compare=False)
+    A plain slotted class: a queue holds one per message, and the key
+    indexes compare entries by identity.
+    """
+
+    __slots__ = ("sort_key", "message", "locked_by")
+
+    def __init__(self, sort_key: tuple, message: Message) -> None:
+        self.sort_key = sort_key
+        self.message = message
+        self.locked_by: Optional[str] = None
+
+    def __lt__(self, other: "_Entry") -> bool:
+        return self.sort_key < other.sort_key
+
+
+#: A key index maps a key to the entry carrying it, or — only while two
+#: or more stored entries share the key — to their list in delivery
+#: order.  Most keys are unique, so most messages cost no list.
+_KeyIndex = Dict[str, Union[_Entry, List[_Entry]]]
+
+
+def _share_key(index: _KeyIndex, key: str, entry: _Entry) -> bool:
+    """File ``entry`` under a key already held; true if the key was
+    unique until now."""
+    held = index[key]
+    if type(held) is list:
+        insort(held, entry)
+        return False
+    index[key] = [held, entry] if held < entry else [entry, held]
+    return True
+
+
+def _unshare_key(index: _KeyIndex, key: str, entry: _Entry) -> bool:
+    """Unfile ``entry`` from a shared key; true if the key is unique again."""
+    held = index[key]
+    held.remove(entry)
+    if len(held) > 1:
+        return False
+    index[key] = held[0]
+    return True
+
+
+def _index_get(index: _KeyIndex, key: Optional[str]) -> Sequence[_Entry]:
+    """Entries filed under ``key``, in delivery order."""
+    held = index.get(key)
+    if held is None:
+        return ()
+    return held if type(held) is list else (held,)
 
 
 class MessageQueue:
     """A named queue owned by a queue manager.
 
-    The queue keeps a single ordered list; gets scan from the front for the
-    first visible (unlocked, unexpired, selector-matching) entry.  Scans
-    are linear, which is fine at the depths the benchmarks use and keeps
-    lock/unlock semantics obvious.
+    The queue keeps a single list in delivery order; an ordered get
+    scans from the front for the first visible (unlocked, unexpired,
+    selector-matching) entry.  Callers that know *which* message they
+    want do not scan: two hash indexes, ``message_id -> entry`` and
+    ``correlation_id -> entries``, are maintained through every mutation
+    and answer :meth:`get_by_id`, :meth:`find_by_id`, :meth:`contains_id`,
+    :meth:`find_correlated` and :meth:`find_collisions` at a cost that
+    does not depend on depth (Gray, *Queues Are Databases*: a queue read
+    by key as well as in order is a table with secondary indexes).  Each
+    lock owner's entries are tracked where the lock is taken, so commit
+    and rollback touch only those.
     """
 
     def __init__(
@@ -77,6 +129,15 @@ class MessageQueue:
         self._clock = clock
         self._max_depth = max_depth
         self._entries: List[_Entry] = []
+        #: message_id -> stored entry (locked ones included)
+        self._by_id: _KeyIndex = {}
+        #: correlation_id -> stored entries (``None`` is not indexed)
+        self._by_corr: _KeyIndex = {}
+        #: Correlation ids currently shared by two or more stored entries:
+        #: zero means no original/compensation pair can be co-resident.
+        self._shared_corr = 0
+        #: lock owner -> the entries it holds, in the order it took them
+        self._locked: Dict[str, List[_Entry]] = {}
         self._seq = itertools.count(1)
         #: Count of visible (unlocked) entries, maintained on every
         #: put/get/lock/unlock so :meth:`depth` never scans the list.
@@ -164,15 +225,15 @@ class MessageQueue:
         if len(self._entries) >= self._max_depth:
             raise QueueFullError(self.name, self._max_depth)
         stored = message.copy(put_time_ms=self._clock.now_ms())
-        entry = _Entry(
-            sort_key=(-stored.priority, next(self._seq)), message=stored
-        )
-        # Insert maintaining sorted order.  Entries arrive mostly in order
-        # (same priority), so scan from the tail.
-        index = len(self._entries)
-        while index > 0 and self._entries[index - 1].sort_key > entry.sort_key:
-            index -= 1
-        self._entries.insert(index, entry)
+        entry = _Entry((-stored.priority, next(self._seq)), stored)
+        # Entries arrive mostly in order (same priority): append, and
+        # bisect only for a message that outranks the tail.
+        entries = self._entries
+        if entries and entries[-1].sort_key > entry.sort_key:
+            insort(entries, entry)
+        else:
+            entries.append(entry)
+        self._index(entry)
         self._visible += 1
         self._expiry_added(stored)
         self.stats.puts += 1
@@ -209,7 +270,7 @@ class MessageQueue:
             return []
         now = self._clock.now_ms()
         new_entries = [
-            _Entry(sort_key=(-m.priority, next(self._seq)), message=m.copy(put_time_ms=now))
+            _Entry((-m.priority, next(self._seq)), m.copy(put_time_ms=now))
             for m in messages
         ]
         new_entries.sort()
@@ -221,6 +282,7 @@ class MessageQueue:
             self._entries.sort()
         self._visible += len(new_entries)
         for entry in new_entries:
+            self._index(entry)
             self._expiry_added(entry.message)
         self.stats.puts += len(new_entries)
         self.stats.high_water_depth = max(
@@ -258,34 +320,52 @@ class MessageQueue:
                 continue
             if selector is not None and not selector(entry.message):
                 continue
-            self.stats.gets += 1
-            if lock_owner is None:
-                del self._entries[i]
-                self._note_depth()
-            else:
-                entry.locked_by = lock_owner
-            self._visible -= 1
-            self._expiry_removed(entry.message)
+            self._take(entry, lock_owner, i)
             return entry.message
         raise EmptyQueueError(self.name)
+
+    def _take(
+        self, entry: _Entry, lock_owner: Optional[str], index: Optional[int] = None
+    ) -> None:
+        """Remove a visible entry, or lock it under ``lock_owner``.
+
+        ``index`` is the entry's position when the caller already knows it.
+        """
+        self.stats.gets += 1
+        if lock_owner is None:
+            if index is None:
+                index = self._position(entry)
+            del self._entries[index]
+            self._unindex(entry)
+            self._note_depth()
+        else:
+            entry.locked_by = lock_owner
+            self._locked.setdefault(lock_owner, []).append(entry)
+        self._visible -= 1
+        self._expiry_removed(entry.message)
+
+    def _position(self, entry: _Entry) -> int:
+        """Index of a stored entry in ``_entries``.
+
+        Keyed removals mostly take the oldest message (a resolved spool
+        copy, the staged compensations of the message just decided), so
+        the front is checked before bisecting on the sort key.
+        """
+        entries = self._entries
+        if entries[0] is entry:
+            return 0
+        return bisect_left(entries, entry)
 
     def get_by_id(self, message_id: str, lock_owner: Optional[str] = None) -> Message:
         """Destructively get a specific message by id (expired or not).
 
         Used by the receiver-side compensation logic, which must be able to
         pull a specific original message out of the queue to cancel it
-        against its compensation message.
+        against its compensation message.  Answered from the id index.
         """
-        for i, entry in enumerate(self._entries):
-            if entry.locked_by is None and entry.message.message_id == message_id:
-                self.stats.gets += 1
-                if lock_owner is None:
-                    del self._entries[i]
-                    self._note_depth()
-                else:
-                    entry.locked_by = lock_owner
-                self._visible -= 1
-                self._expiry_removed(entry.message)
+        for entry in _index_get(self._by_id, message_id):
+            if entry.locked_by is None:
+                self._take(entry, lock_owner)
                 return entry.message
         raise EmptyQueueError(self.name)
 
@@ -294,19 +374,56 @@ class MessageQueue:
         ``message_id`` without removing it, or ``None``.
 
         The non-destructive sibling of :meth:`get_by_id`; the network
-        layer uses it to locate a parked transmission without paying for
-        a full :meth:`browse` pass.
+        layer uses it to locate a parked transmission.
         """
         self._sweep_expired()
         now = self._clock.now_ms()
-        for entry in self._entries:
-            if (
-                entry.locked_by is None
-                and entry.message.message_id == message_id
-                and not entry.message.is_expired(now)
-            ):
+        for entry in _index_get(self._by_id, message_id):
+            if entry.locked_by is None and not entry.message.is_expired(now):
                 return entry.message
         return None
+
+    def contains_id(self, message_id: str) -> bool:
+        """True if any stored message — locked and expired-but-unswept
+        ones included, as in :meth:`snapshot` — has ``message_id``."""
+        return message_id in self._by_id
+
+    def find_correlated(self, correlation_id: str) -> List[Message]:
+        """Visible messages carrying ``correlation_id``, in delivery order.
+
+        A keyed lookup, not a browse: it costs the handful of entries
+        filed under the key whatever the depth, and ``stats.browses``
+        does not move.
+        """
+        self._sweep_expired()
+        now = self._clock.now_ms()
+        return [
+            entry.message
+            for entry in _index_get(self._by_corr, correlation_id)
+            if entry.locked_by is None and not entry.message.is_expired(now)
+        ]
+
+    def find_collisions(self) -> List[Message]:
+        """Visible messages whose correlation id another stored message
+        shares, in delivery order.
+
+        Empty — at the cost of one counter check — on a queue where every
+        correlation id is unique, which is how the receiver's pair
+        cancellation skips an inbox that cannot hold a pair.
+        """
+        self._sweep_expired()
+        if not self._shared_corr:
+            return []
+        now = self._clock.now_ms()
+        shared = [
+            entry
+            for held in self._by_corr.values()
+            if type(held) is list
+            for entry in held
+            if entry.locked_by is None and not entry.message.is_expired(now)
+        ]
+        shared.sort()
+        return [entry.message for entry in shared]
 
     # -- browse ------------------------------------------------------------------
 
@@ -324,28 +441,52 @@ class MessageQueue:
                 yield entry.message
 
     def peek(self) -> Optional[Message]:
-        """Return (without removing) the next visible message, or ``None``."""
-        for message in self.browse():
-            return message
+        """Return (without removing) the next visible message, or ``None``.
+
+        Counts as a browse but stops at the first visible entry instead
+        of copying the list.
+        """
+        self._sweep_expired()
+        self.stats.browses += 1
+        now = self._clock.now_ms()
+        for entry in self._entries:
+            if entry.locked_by is None and not entry.message.is_expired(now):
+                return entry.message
         return None
 
     # -- transactional locking -----------------------------------------------
 
     def locked_messages(self, lock_owner: str) -> List[Message]:
-        """Messages currently locked under ``lock_owner``."""
-        return [e.message for e in self._entries if e.locked_by == lock_owner]
+        """Messages currently locked under ``lock_owner``, in queue order."""
+        return [e.message for e in sorted(self._locked.get(lock_owner, ()))]
 
     def commit_locked(self, lock_owner: str) -> List[Message]:
         """Destroy all messages locked by ``lock_owner``; returns them.
 
         Locked entries were already dropped from the visible count and
         the expiry watermark when they were locked, so destroying them
-        needs no further bookkeeping.
+        needs no further bookkeeping.  Each is found by bisection and
+        contiguous runs leave in one slice, so the cost follows the
+        transaction's size, not the queue's depth.
         """
-        committed = [e.message for e in self._entries if e.locked_by == lock_owner]
-        self._entries = [e for e in self._entries if e.locked_by != lock_owner]
+        doomed = sorted(self._locked.pop(lock_owner, ()))
+        entries = self._entries
+        stop = len(entries)
+        run_start = run_stop = None
+        for entry in reversed(doomed):
+            index = bisect_left(entries, entry, 0, stop)
+            if index + 1 == run_start:
+                run_start = index
+            else:
+                if run_start is not None:
+                    del entries[run_start:run_stop]
+                run_start, run_stop = index, index + 1
+            stop = index
+            self._unindex(entry)
+        if run_start is not None:
+            del entries[run_start:run_stop]
         self._note_depth()
-        return committed
+        return [entry.message for entry in doomed]
 
     def remove_locked(self, lock_owner: str, message_id: str) -> Message:
         """Destroy one specific message locked by ``lock_owner``.
@@ -354,12 +495,14 @@ class MessageQueue:
         leave the queue without committing the rest of the transaction's
         locked set.
         """
-        for i, entry in enumerate(self._entries):
-            if (
-                entry.locked_by == lock_owner
-                and entry.message.message_id == message_id
-            ):
-                del self._entries[i]
+        for entry in _index_get(self._by_id, message_id):
+            if entry.locked_by == lock_owner:
+                owned = self._locked[lock_owner]
+                owned.remove(entry)
+                if not owned:
+                    del self._locked[lock_owner]
+                del self._entries[self._position(entry)]
+                self._unindex(entry)
                 self._note_depth()
                 return entry.message
         raise EmptyQueueError(self.name)
@@ -367,16 +510,17 @@ class MessageQueue:
     def rollback_locked(self, lock_owner: str) -> List[Message]:
         """Unlock ``lock_owner``'s messages in place, bumping backout counts."""
         rolled_back: List[Message] = []
-        for entry in self._entries:
-            if entry.locked_by == lock_owner:
-                entry.locked_by = None
-                entry.message = entry.message.copy(
-                    backout_count=entry.message.backout_count + 1
-                )
-                self.stats.backouts += 1
-                self._visible += 1
-                self._expiry_added(entry.message)
-                rolled_back.append(entry.message)
+        for entry in sorted(self._locked.pop(lock_owner, ())):
+            entry.locked_by = None
+            # Same ids on the backout copy: the key indexes hold the
+            # entry, not the message, and stay as they are.
+            entry.message = entry.message.copy(
+                backout_count=entry.message.backout_count + 1
+            )
+            self.stats.backouts += 1
+            self._visible += 1
+            self._expiry_added(entry.message)
+            rolled_back.append(entry.message)
         return rolled_back
 
     # -- maintenance ---------------------------------------------------------------
@@ -384,7 +528,10 @@ class MessageQueue:
     def purge(self) -> int:
         """Discard every unlocked message; returns how many were removed."""
         before = len(self._entries)
-        self._entries = [e for e in self._entries if e.locked_by is not None]
+        self._entries = sorted(
+            entry for owned in self._locked.values() for entry in owned
+        )
+        self._reindex()
         # Everything visible is gone; only locked entries remain, and
         # those never participate in the expiry watermark.
         self._visible = 0
@@ -398,14 +545,14 @@ class MessageQueue:
 
     def restore(self, messages: List[Message]) -> None:
         """Reload queue content from a recovery snapshot (replaces content)."""
-        self._entries = []
         self._seq = itertools.count(1)
-        for message in messages:
-            entry = _Entry(
-                sort_key=(-message.priority, next(self._seq)), message=message
-            )
-            self._entries.append(entry)
+        self._entries = [
+            _Entry((-message.priority, next(self._seq)), message)
+            for message in messages
+        ]
         self._entries.sort()
+        self._locked = {}
+        self._reindex()
         expiries = [
             e.message.expiry_ms
             for e in self._entries
@@ -418,6 +565,51 @@ class MessageQueue:
     def _note_depth(self) -> None:
         if self.metrics is not None:
             self.metrics.set_gauge(self._depth_gauge, len(self._entries))
+
+    # -- key-index bookkeeping ----------------------------------------------------
+
+    # Every put and get passes through these two: the unique-key case is
+    # inline, and only a shared key pays a helper call.
+
+    def _index(self, entry: _Entry) -> None:
+        """A new entry joined the stored set."""
+        message = entry.message
+        message_id = message.message_id
+        if message_id in self._by_id:
+            _share_key(self._by_id, message_id, entry)
+        else:
+            self._by_id[message_id] = entry
+        correlation_id = message.correlation_id
+        if correlation_id is None:
+            return
+        if correlation_id not in self._by_corr:
+            self._by_corr[correlation_id] = entry
+        elif _share_key(self._by_corr, correlation_id, entry):
+            self._shared_corr += 1
+
+    def _unindex(self, entry: _Entry) -> None:
+        """An entry left the stored set (removed, committed or swept)."""
+        message = entry.message
+        message_id = message.message_id
+        if self._by_id[message_id] is entry:
+            del self._by_id[message_id]
+        else:
+            _unshare_key(self._by_id, message_id, entry)
+        correlation_id = message.correlation_id
+        if correlation_id is None:
+            return
+        if self._by_corr[correlation_id] is entry:
+            del self._by_corr[correlation_id]
+        elif _unshare_key(self._by_corr, correlation_id, entry):
+            self._shared_corr -= 1
+
+    def _reindex(self) -> None:
+        """Rebuild both key indexes from ``_entries`` (purge, restore)."""
+        self._by_id = {}
+        self._by_corr = {}
+        self._shared_corr = 0
+        for entry in self._entries:
+            self._index(entry)
 
     # -- expiry-watermark bookkeeping ------------------------------------------
 
@@ -466,6 +658,7 @@ class MessageQueue:
             if entry.locked_by is None and entry.message.is_expired(now):
                 self.stats.expired += 1
                 swept.append(entry.message)
+                self._unindex(entry)
             else:
                 survivors.append(entry)
                 # Only unlocked survivors feed the watermark: the sweep

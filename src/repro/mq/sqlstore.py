@@ -831,17 +831,45 @@ class SqlMessageQueue:
 
     def find_by_id(self, message_id: str) -> Optional[Message]:
         """Visible (unlocked, unexpired) message with ``message_id``."""
+        found = self._find_visible("message_id = ?", message_id)
+        return found[0] if found else None
+
+    def contains_id(self, message_id: str) -> bool:
+        """True if any stored row (locked or expired included) has the id."""
+        row = self.store._execute(
+            "SELECT 1 FROM messages WHERE queue = ? AND message_id = ? LIMIT 1",
+            (self.name, message_id),
+        ).fetchone()
+        return row is not None
+
+    def _find_visible(self, clause: str, *params: Any) -> List[Message]:
+        """Visible rows that also satisfy ``clause``, in delivery order."""
         with self.store.transaction():
             self._sweep_expired()
-            now = self._clock.now_ms()
-            row = self.store._execute(
+            rows = self.store._execute(
                 "SELECT encoded FROM messages WHERE queue = ?"
-                " AND lock_owner IS NULL AND message_id = ?"
+                " AND lock_owner IS NULL"
                 " AND (expiry_ms IS NULL OR expiry_ms >= ?)"
-                " ORDER BY priority DESC, seq LIMIT 1",
-                (self.name, message_id, now),
-            ).fetchone()
-        return _decode(row[0]) if row is not None else None
+                f" AND {clause} ORDER BY priority DESC, seq",
+                (self.name, self._clock.now_ms(), *params),
+            ).fetchall()
+        return [_decode(row[0]) for row in rows]
+
+    def find_correlated(self, correlation_id: str) -> List[Message]:
+        """Visible messages carrying ``correlation_id``, in delivery order
+        (a seek on ``ix_messages_corr``; not counted as a browse)."""
+        return self._find_visible("correlation_id = ?", correlation_id)
+
+    def find_collisions(self) -> List[Message]:
+        """Visible messages whose correlation id another stored row shares,
+        in delivery order.  The grouping runs inside SQLite over the
+        covering ``ix_messages_corr``; only colliding rows are decoded."""
+        return self._find_visible(
+            "correlation_id IN (SELECT correlation_id FROM messages"
+            " WHERE queue = ? AND correlation_id IS NOT NULL"
+            " GROUP BY correlation_id HAVING COUNT(*) > 1)",
+            self.name,
+        )
 
     # -- browse ---------------------------------------------------------------
 
@@ -864,8 +892,14 @@ class SqlMessageQueue:
         return iter(matched)
 
     def peek(self) -> Optional[Message]:
-        for message in self.browse():
-            return message
+        """Next visible message: a browse that stops at the first row."""
+        with self.store.transaction():
+            self._sweep_expired()
+        self.stats.browses += 1
+        now = self._clock.now_ms()
+        for _seq, message in self._matches(None):
+            if not message.is_expired(now):
+                return message
         return None
 
     # -- transactional locking ------------------------------------------------

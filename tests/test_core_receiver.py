@@ -6,6 +6,7 @@ from repro.core import control
 from repro.core.acks import AckKind, ack_from_message
 from repro.core.builder import destination, destination_set
 from repro.core.logqueues import RECEIVER_LOG_QUEUE, ReceiverLogEntry
+from repro.core.receiver import ConditionalMessagingReceiver
 from repro.errors import NoTransactionError, TransactionActiveError
 
 
@@ -201,6 +202,41 @@ class TestCompensationRules:
         duo.receiver_qm.put("Q.IN", stray)
         assert duo.receiver.read_message("Q.IN") is None
         assert duo.receiver.stats.compensations_discarded == 1
+
+    def test_compensation_follows_the_queue_not_the_manager(self, duo):
+        """Two destination queues on ONE manager: A's copy is consumed,
+        B's expires unread.  The RLOG entry for Q.A must not make Q.B's
+        compensation deliverable — delivery is per consumed original."""
+        reader_b = ConditionalMessagingReceiver(duo.receiver_qm, recipient_id="bob")
+        condition = destination_set(
+            destination("Q.A", manager="QM.R", recipient="alice",
+                        msg_pick_up_time=1_000),
+            destination("Q.B", manager="QM.R", recipient="bob",
+                        msg_pick_up_time=1_000, msg_expiry=500),
+            evaluation_timeout=2_000,
+        )
+        cmid = duo.service.send_message(
+            {"n": 1}, condition, compensation={"undo": "it"}
+        )
+        duo.deliver()
+        assert duo.receiver.read_message("Q.A").cmid == cmid
+        duo.run_all()  # Q.B's original expires; timeout; compensations out
+        assert reader_b.read_message("Q.B") is None
+        assert reader_b.stats.compensations_delivered == 0
+        assert reader_b.stats.compensations_discarded == 1
+        comp = duo.receiver.read_message("Q.A")
+        assert comp.is_compensation and comp.cmid == cmid
+
+    def test_shared_queue_consumers_all_see_the_compensation_rule(self, duo):
+        """Example 2's shape: several receivers on one queue share the
+        manager's RLOG; whoever reads the compensation finds the entry."""
+        other = ConditionalMessagingReceiver(duo.receiver_qm, recipient_id="bob")
+        self.failing_send(duo, comp_body={"undo": "it"})
+        duo.scheduler.run_until(150)
+        assert duo.receiver.read_message("Q.IN") is not None  # alice, late
+        duo.run_all()
+        comp = other.read_message("Q.IN")  # bob picks up the compensation
+        assert comp is not None and comp.is_compensation
 
     def test_success_notification_delivered(self, duo):
         duo.service.notify_success = True

@@ -169,6 +169,61 @@ class TestLocking:
         with pytest.raises(EmptyQueueError):
             queue.get_by_id(stored.message_id)
 
+    def test_commit_takes_out_of_order_locks_out_in_queue_order(self, queue):
+        """Locks taken back to front, interleaved with another owner's:
+        commit removes exactly the owner's entries (two separate runs
+        here) and returns them in delivery order."""
+        stored = put_bodies(queue, "a", "b", "c", "d", "e", "f")
+        for body, owner in [("f", "tx1"), ("c", "tx2"), ("e", "tx1"),
+                            ("a", "tx1"), ("b", "tx1")]:
+            by_body = {m.body: m for m in stored}
+            queue.get_by_id(by_body[body].message_id, lock_owner=owner)
+        assert [m.body for m in queue.locked_messages("tx1")] == ["a", "b", "e", "f"]
+        assert [m.body for m in queue.commit_locked("tx1")] == ["a", "b", "e", "f"]
+        assert [m.body for m in queue.snapshot()] == ["c", "d"]
+        assert [m.body for m in queue.rollback_locked("tx2")] == ["c"]
+        assert [m.body for m in queue.browse()] == ["c", "d"]
+        assert not queue.contains_id(stored[0].message_id)
+
+
+class TestKeyedLookups:
+    def test_find_correlated_is_ordered_visible_and_not_a_browse(self, queue, clock):
+        queue.put(Message(body="low", correlation_id="k", priority=1))
+        queue.put(Message(body="other", correlation_id="x"))
+        queue.put(Message(body="high", correlation_id="k", priority=9))
+        queue.put(Message(body="dying", correlation_id="k", expiry_ms=10))
+        queue.put(Message(body="held", correlation_id="k"))
+        queue.get(selector=lambda m: m.body == "held", lock_owner="tx")
+        assert [m.body for m in queue.find_correlated("k")] == ["high", "dying", "low"]
+        clock.advance(11)
+        assert [m.body for m in queue.find_correlated("k")] == ["high", "low"]
+        assert queue.find_correlated("nobody") == []
+        assert queue.stats.browses == 0
+
+    def test_contains_id_counts_locked_copies(self, queue):
+        stored = put_bodies(queue, "a")[0]
+        queue.get(lock_owner="tx")
+        assert queue.find_by_id(stored.message_id) is None
+        assert queue.contains_id(stored.message_id)
+        queue.commit_locked("tx")
+        assert not queue.contains_id(stored.message_id)
+
+    def test_find_collisions_lists_only_shared_correlation_ids(self, queue):
+        for body, correlation in [("a1", "a"), ("b1", "b"), ("n1", None),
+                                  ("a2", "a"), ("n2", None)]:
+            queue.put(Message(body=body, correlation_id=correlation))
+        assert [m.body for m in queue.find_collisions()] == ["a1", "a2"]
+        queue.get()  # a1 leaves: "a" is unique again
+        assert queue.find_collisions() == []
+
+    def test_duplicate_message_ids_resolve_in_delivery_order(self, queue):
+        first = queue.put(Message(body="first"))
+        queue.put(Message(body="second").copy(message_id=first.message_id))
+        assert queue.find_by_id(first.message_id).body == "first"
+        assert queue.get_by_id(first.message_id).body == "first"
+        assert queue.get_by_id(first.message_id).body == "second"
+        assert not queue.contains_id(first.message_id)
+
 
 class TestMaintenance:
     def test_purge_spares_locked(self, queue):

@@ -235,6 +235,16 @@ class TestEndToEndTrace:
         assert decision_stats is not None and decision_stats.count == 1
         assert decision_stats.minimum >= ack_stats.minimum
 
+    def test_gauges_show_the_state_that_only_grows(self):
+        """Receiver log, evaluation records and the network's delivery
+        ledger are not pruned yet; an operator can at least watch them."""
+        result, _recorder, registry = self.run_traced_example1()
+        assert registry.gauge("depth.QM.R1.DS.RLOG.Q") == 1.0
+        assert registry.gauge(f"evaluation_records.{result.testbed.SENDER}") == 1.0
+        # 4 originals out, their acks back — every final delivery is kept.
+        ledger = registry.gauge("delivered_ledger.network")
+        assert ledger == len(result.testbed.network._delivered) >= 8
+
     def test_failure_path_traces_compensation(self):
         from repro.harness.runner import run_example2
 

@@ -1,6 +1,7 @@
-"""Property-based tests: topic pattern matching and cross-backend
-recovery equivalence (same op sequence -> identical recovered queue state
-on every store of the scheme table)."""
+"""Property-based tests: topic pattern matching, cross-backend recovery
+equivalence (same op sequence -> identical recovered queue state on every
+store of the scheme table) and keyed-lookup equivalence of the two queue
+classes."""
 
 import tempfile
 
@@ -13,7 +14,10 @@ from repro.mq.manager import QueueManager
 from repro.mq.message import DeliveryMode, Message
 from repro.mq.persistence import JOURNAL_SCHEMES, journal_factory_for
 from repro.mq.pubsub import TopicBroker, topic_matches, validate_pattern
+from repro.mq.queue import MessageQueue
+from repro.mq.sqlstore import SqlMessageQueue, SqlQueueStore
 from repro.sim.clock import SimulatedClock
+from tests.test_property_mq import QueueOpDriver, queue_ops
 
 # -- topic_matches ----------------------------------------------------------
 
@@ -182,3 +186,28 @@ def test_same_ops_recover_identically_on_every_backend(op_list):
             assert recovered[backend] == live[backend]
         else:
             assert recovered[backend] == _persistent_only(live[backend])
+
+
+# -- keyed lookups: both queue classes answer alike ---------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(queue_ops)
+def test_sql_queue_answers_keyed_lookups_like_the_memory_queue(op_list):
+    """The op sequences of ``test_property_mq`` on a ``MessageQueue`` and a
+    ``SqlMessageQueue`` in lockstep: every op has the same outcome and
+    every lookup — by id, by correlation, collisions, locked sets — the
+    same answer in the same order, lock and expiry visibility included."""
+    clock = SimulatedClock()
+    with tempfile.TemporaryDirectory() as tmpdir:
+        store = SqlQueueStore(f"{tmpdir}/lockstep.db", sync="none")
+        try:
+            memory = MessageQueue("IX.Q", clock)
+            sql = SqlMessageQueue(store, "IX.Q", clock)
+            driver = QueueOpDriver(clock, [memory, sql])
+            for op in op_list:
+                from_memory, from_sql = driver.apply(op)
+                assert from_sql == from_memory, op
+                assert driver.observe(sql) == driver.observe(memory), op
+        finally:
+            store.close()

@@ -1,0 +1,163 @@
+"""Counts that cannot creep back: the per-message path neither browses a
+queue nor does Python work per stored message, however deep the backlog
+and however long the history.
+
+Timing would be noise in tier-1; these are exact counts.  ``browses`` is
+the queue's own counter; *visits* are calls of ``Message.is_expired`` /
+``Message.get_property``, the two things any walk over stored messages
+ends up calling (visibility check, control-property decode).
+"""
+
+import pytest
+
+from repro.core.builder import destination, destination_set
+from repro.core.logqueues import (
+    COMPENSATION_QUEUE,
+    RECEIVER_LOG_QUEUE,
+    SENDER_LOG_QUEUE,
+)
+from repro.core.outcome import MessageOutcome
+from repro.mq.manager import XMIT_PREFIX
+from repro.mq.message import Message
+from repro.mq.persistence import journal_factory_for
+from repro.workloads.scenarios import Testbed
+
+FANOUT8 = [f"R{i}" for i in range(1, 9)]
+PICK_UP_MS = 1_000
+
+
+def condition_for(bed, names, pick_up_ms=PICK_UP_MS):
+    return destination_set(
+        *[
+            destination(
+                bed.queue_of(name), manager=f"QM.{name}", recipient=name,
+                msg_pick_up_time=pick_up_ms,
+            )
+            for name in names
+        ],
+        evaluation_timeout=pick_up_ms + 100,
+    )
+
+
+def send(bed, condition):
+    cmid = bed.service.send_message({"n": 1}, condition, compensation={"undo": 1})
+    bed.scheduler.run_for(2)  # every copy reaches its inbox
+    return cmid
+
+
+def read(bed, name):
+    return bed.receiver(name).read_message(bed.queue_of(name))
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """Counts every ``is_expired`` / ``get_property`` call on any Message."""
+    counter = {"n": 0}
+    for method in ("is_expired", "get_property"):
+        original = getattr(Message, method)
+
+        def counting(self, *args, _original=original, **kwargs):
+            counter["n"] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Message, method, counting)
+    return counter
+
+
+def test_no_queue_on_the_message_path_is_browsed():
+    bed = Testbed(FANOUT8, latency_ms=1)
+    condition = condition_for(bed, FANOUT8)
+    for round_no in range(6):
+        cmid = send(bed, condition)
+        late = ["R8"] if round_no == 2 else []
+        for name in FANOUT8:
+            if name not in late:
+                assert read(bed, name).cmid == cmid
+        bed.run_all()  # acks land, or the timeout fires and compensations go out
+        if late:
+            assert bed.service.outcome(cmid).outcome is MessageOutcome.FAILURE
+            for name in FANOUT8[:-1]:
+                assert read(bed, name).is_compensation
+            assert read(bed, "R8") is None  # original met its compensation
+        else:
+            assert bed.service.outcome(cmid).outcome is MessageOutcome.SUCCESS
+    delivered = sum(
+        node.receiver.stats.compensations_delivered for node in bed.receivers.values()
+    )
+    assert delivered == 7
+    assert bed.receiver("R8").stats.cancellations == 1
+
+    managers = [bed.sender_manager] + [node.manager for node in bed.receivers.values()]
+    checked = 0
+    for manager in managers:
+        for name in manager.queue_names():
+            if (
+                name in (RECEIVER_LOG_QUEUE, COMPENSATION_QUEUE, SENDER_LOG_QUEUE)
+                or name.startswith("Q.")
+                or name.startswith(XMIT_PREFIX)
+            ):
+                assert manager.queue(name).stats.browses == 0, (manager.name, name)
+                checked += 1
+    assert checked >= 3 + 8 + 8 + 8  # system queues, inboxes, spools, receiver logs
+
+
+def visits_per_message_at(bed, visits, names, outstanding, measured=10):
+    """Steady state at ``outstanding`` unread conditional messages: send
+    one, every receiver reads its oldest, the oldest decides."""
+    condition = condition_for(bed, names, pick_up_ms=10**7)
+    for _ in range(outstanding):
+        send(bed, condition)
+    before = visits["n"]
+    for _ in range(measured):
+        send(bed, condition)
+        for name in names:
+            assert read(bed, name) is not None
+        bed.scheduler.run_for(2)
+    assert bed.service.pending_count() == outstanding
+    return (visits["n"] - before) / measured
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlstore"])
+def test_visits_per_message_do_not_grow_with_the_backlog(backend, visits, tmp_path):
+    names = FANOUT8[:2] if backend == "sqlstore" else FANOUT8  # sqlstore: keep tier-1 quick
+    per_message = {}
+    for outstanding in (1, 500):
+        bed = Testbed(
+            names,
+            latency_ms=1,
+            journaled=True,
+            journal_factory=journal_factory_for(
+                backend, str(tmp_path / str(outstanding)), sync="none"
+            ),
+        )
+        per_message[outstanding] = visits_per_message_at(bed, visits, names, outstanding)
+        for journal in bed.journals.values():
+            journal.close()
+    assert per_message[500] == pytest.approx(per_message[1], abs=1.0), per_message
+
+
+def test_visits_per_message_do_not_grow_with_history(visits):
+    """A ``timeout``-style failure loop: R1 reads, R2 stays away, the
+    deadline passes, R1 is handed the compensation (a receiver-log
+    lookup), R2's original cancels against its compensation.  The
+    3,000th round must cost what the 1st did."""
+    names = ["R1", "R2"]
+    bed = Testbed(names, latency_ms=1)
+    condition = condition_for(bed, names)
+
+    def failure_round():
+        before = visits["n"]
+        cmid = send(bed, condition)
+        assert read(bed, "R1").cmid == cmid
+        bed.run_all()
+        assert read(bed, "R1").is_compensation
+        assert read(bed, "R2") is None
+        bed.service.poll_outcome_notifications()
+        return visits["n"] - before
+
+    first = failure_round()
+    for _ in range(2_998):
+        failure_round()
+    assert failure_round() == first
+    assert bed.manager_of("R1").depth(RECEIVER_LOG_QUEUE) == 3_000
+    assert bed.receiver("R2").stats.cancellations == 3_000
