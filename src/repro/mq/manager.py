@@ -22,6 +22,7 @@ Responsibilities:
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager, nullcontext
 from typing import Callable, ContextManager, Dict, Iterable, Iterator, List, Optional
 
@@ -636,7 +637,20 @@ class QueueManager:
         are presumed aborted (their gets were never journaled, so the
         messages are still live; their puts were never journaled, so they
         never existed).
+
+        A restart costs what its live state costs: the replay decodes only
+        the messages that survive it (see :meth:`Journal.recover`), and
+        the log is rewritten only when that pays or heals — when at least
+        half of what was replayed is dead (``journal.size()`` is twice
+        what a checkpoint would write: two markers, one ``define`` per
+        queue, one ``put`` per live message), or when the replay skipped a
+        corrupt tail.  Otherwise the log is left exactly as found, and
+        ``compaction_threshold`` bounds its growth as it does mid-run.
+        What the restart did is on the journal (``recover_records``,
+        ``recover_live``, ``recover_compacted``) and, with a registry, on
+        ``journal.recover.*``.
         """
+        started = time.perf_counter()
         if isinstance(journal, str):
             journal = journal_for(journal)
         if isinstance(journal, SqlQueueStore):
@@ -674,11 +688,27 @@ class QueueManager:
                 manager.define_queue(queue_name, journal_definition=False)
             manager.queue(queue_name).restore(messages)
         # Re-attach the journal only after restore so recovery itself is
-        # not re-journaled; then checkpoint to compact the log.
+        # not re-journaled.
         manager.journal = journal
         if metrics is not None and journal.metrics is None:
             journal.metrics = metrics
-        manager.checkpoint()
+        # Rewriting a log that is mostly live removes little and costs a
+        # full re-encode; from half dead on, the rewrite at least halves
+        # every later replay.  A skipped tail is rewritten away as well.
+        snapshot_records = 2 + len(manager._queues) + journal.recover_live
+        journal.recover_compacted = int(
+            journal.skipped_trailing_records != 0
+            or journal.size() >= 2 * snapshot_records
+        )
+        if journal.recover_compacted:
+            manager.checkpoint()
+        if metrics is not None:
+            metrics.incr("journal.recover.records", journal.recover_records)
+            metrics.incr("journal.recover.live", journal.recover_live)
+            metrics.incr("journal.recover.compacted", journal.recover_compacted)
+            metrics.observe(
+                "journal.recover.ms", (time.perf_counter() - started) * 1e3
+            )
         return manager
 
     # -- internals --------------------------------------------------------------------

@@ -117,8 +117,11 @@ class Channel:
         retry_interval_ms: *Initial* retransmission timeout.  Subsequent
             retries are timed by the channel's RFC 6298 estimator
             (:attr:`rtt`): successful transfer times feed the smoothed
-            RTT, each failed attempt doubles the timeout, and — Karn's
-            rule — retried or re-driven transfers never produce samples.
+            RTT, a lost attempt doubles the timeout — once per timeout
+            interval, however many parked messages lose an attempt inside
+            it (RFC 6298 §5.5 backs the connection's one timer off per
+            expiry, not per segment) — and, Karn's rule, retried or
+            re-driven transfers never produce samples.
         stopped: A stopped channel parks messages on the transmission
             queue until restarted (models a network partition).
     """
@@ -136,6 +139,9 @@ class Channel:
     #: transfers; ``ambiguous`` marks retried/re-driven messages whose
     #: completion must not be sampled (Karn's rule).
     inflight: Dict[str, List] = field(default_factory=dict, repr=False)
+    #: end of the timeout interval the last backoff opened; losses before
+    #: it retry at the current timeout without doubling it again
+    backed_off_until_ms: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.latency_ms < 0 or self.jitter_ms < 0:
@@ -457,10 +463,16 @@ class MessageNetwork(Transport):
             if entry is not None:
                 entry[1] = True  # Karn: the eventual success is ambiguous
             # RFC 6298: wait the current timeout, then double it for the
-            # next expiry.  A later successful sample recomputes the RTO
-            # from the smoothed estimate, collapsing the backoff.
+            # next expiry.  The channel has ONE timer: concurrent messages
+            # losing attempts inside the interval an expiry opened share
+            # that expiry, or N in flight would compound the backoff N
+            # times per round.  A later successful sample recomputes the
+            # RTO from the smoothed estimate, collapsing the backoff.
             retry_after = chan.rtt.rto
-            chan.rtt.backoff()
+            now = self.scheduler.clock.now_ms()
+            if now >= chan.backed_off_until_ms:
+                chan.rtt.backoff()
+                chan.backed_off_until_ms = now + retry_after
             self.scheduler.call_later(
                 retry_after,
                 lambda: self._attempt_transfer(chan, message_id),

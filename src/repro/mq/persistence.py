@@ -8,7 +8,8 @@ This module provides that behaviour for :class:`~repro.mq.manager.QueueManager`:
 * every destructive get of a persistent message appends a ``get`` record,
 * :meth:`Journal.checkpoint` compacts the log into a snapshot record,
 * :meth:`Journal.recover` folds the log into the set of live messages per
-  queue.
+  queue, decoding only the messages that survive the fold; the owning
+  manager then compacts only a log that is at least half dead.
 
 Uncommitted transactional work is never journaled — the queue manager only
 journals at commit, which gives the standard "presumed abort" behaviour on
@@ -225,16 +226,23 @@ def decode_message(record: Dict[str, Any]) -> Message:
         raise PersistenceError(f"journal message record missing field {exc}") from exc
 
 
-def _logical_records(record: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _logical_records(record: Any) -> List[Dict[str, Any]]:
     """The logical records one decoded JSON line carries.
 
     A ``group`` record is the single-frame envelope a multi-record commit
     group is written as (see :meth:`Journal._write_group`); readers see
-    the logical member records, never the envelope.
+    the logical member records, never the envelope.  JSON that is not a
+    record (or a group of records) is a :class:`ValueError`, like JSON
+    that does not parse.
     """
-    if record.get("op") == "group":
-        return record.get("records", [])
-    return [record]
+    members = [record]
+    if isinstance(record, dict) and record.get("op") == "group":
+        members = record.get("records")
+    if not isinstance(members, list) or not all(
+        isinstance(member, dict) for member in members
+    ):
+        raise ValueError("not a journal record")
+    return members
 
 
 def _check_sync_policy(sync: str) -> str:
@@ -332,18 +340,14 @@ def _unpickle_record(payload: bytes, offset: int, source: str) -> Dict[str, Any]
 
 
 def _scan_group_payload(
-    payload: bytes,
-    out: Optional[List[Dict[str, Any]]],
-    offset: int,
-    source: str,
-) -> int:
-    """Walk the member record frames inside a binary group payload.
+    payload: bytes, offset: int, source: str
+) -> List[Dict[str, Any]]:
+    """Decode the member record frames inside a binary group payload.
 
-    Returns the member count; appends decoded records to ``out`` unless it
-    is ``None`` (structural counting).  The group's own CRC already
-    matched, so a malformed member here is real corruption.
+    The group's own CRC already matched, so a malformed member here is
+    real corruption.
     """
-    members = 0
+    members: List[Dict[str, Any]] = []
     position = 0
     end = len(payload)
     while position < end:
@@ -364,33 +368,16 @@ def _scan_group_payload(
                 f"corrupt member frame in journal group at byte {offset}"
                 f" in {source}"
             )
-        if out is not None:
-            out.append(_unpickle_record(member, offset, source))
-        members += 1
+        members.append(_unpickle_record(member, offset, source))
         position = member_end
     return members
-
-
-def _count_json_line(line: bytes) -> int:
-    """Structural record count for one JSON line (group members expand).
-
-    An unparseable line counts as one — :meth:`Journal.read_all` rejects
-    mid-file corruption properly; the open-time count must not.
-    """
-    if line.startswith(b'{"op": "group"'):
-        try:
-            return len(_logical_records(json.loads(line)))
-        except json.JSONDecodeError:
-            pass
-    return 1
 
 
 def _scan_journal(
     data: bytes,
     source: str,
-    decode: bool = True,
     strict: bool = True,
-) -> Tuple[List[Dict[str, Any]], int, int, int]:
+) -> Tuple[List[Dict[str, Any]], int, int]:
     """Decode a journal byte stream, auto-detecting the frame format.
 
     Each frame is dispatched on its first byte: the binary magic bytes
@@ -398,25 +385,23 @@ def _scan_journal(
     JSON line — so JSON and binary content can coexist in one journal
     (e.g. an old JSON log appended to under the binary codec).
 
-    Returns ``(records, logical_count, valid_end, torn)``:
+    Returns ``(records, valid_end, torn)``:
 
-    * ``records`` — decoded logical records, group wrappers inlined
-      (empty when ``decode`` is false);
-    * ``logical_count`` — logical record count (group members counted
-      individually);
+    * ``records`` — decoded logical records, group wrappers inlined (a
+      group's members count individually);
     * ``valid_end`` — byte offset just past the last intact frame, the
-      truncation point for open-time healing;
+      truncation point for healing;
     * ``torn`` — 1 when the stream ends in a torn frame: an unterminated
       JSON line, an incomplete binary frame, a CRC-mismatched frame that
-      runs to end-of-stream, or (when decoding) a complete-but-corrupt
-      final JSON line.  Torn content is excluded from the returns.
+      runs to end-of-stream, or a complete-but-unparseable final JSON
+      line.  Torn content is excluded from the returns.
 
     Corruption *before* intact content is not a crash artefact: with
     ``strict`` it raises :class:`PersistenceError`; without (the
-    tolerant open-time scan) the scan simply stops there.
+    tolerant open-time scan) the scan simply stops there, ``valid_end``
+    short of the stream's end.
     """
     records: List[Dict[str, Any]] = []
-    count = 0
     offset = 0
     valid_end = 0
     end = len(data)
@@ -425,69 +410,61 @@ def _scan_journal(
         if first in (_MAGIC_RECORD, _MAGIC_GROUP):
             header_end = offset + _BIN_HEADER.size
             if header_end > end:
-                return records, count, valid_end, 1
+                return records, valid_end, 1
             magic, length, crc = _BIN_HEADER.unpack_from(data, offset)
             frame_end = header_end + length
             if frame_end > end:
-                return records, count, valid_end, 1
+                return records, valid_end, 1
             payload = data[header_end:frame_end]
             if zlib.crc32(payload) != crc:
                 if frame_end == end:
                     # A torn OS write can complete the header but garble
                     # the payload; at end-of-stream that is crash
                     # semantics, not bit rot.
-                    return records, count, valid_end, 1
+                    return records, valid_end, 1
                 if not strict:
-                    return records, count, valid_end, 0
+                    return records, valid_end, 0
                 raise PersistenceError(
                     f"corrupt journal frame at byte {offset} in {source}"
                 )
             try:
                 if magic == _MAGIC_GROUP:
-                    count += _scan_group_payload(
-                        payload, records if decode else None, offset, source
-                    )
+                    records.extend(_scan_group_payload(payload, offset, source))
                 else:
-                    if decode:
-                        records.append(_unpickle_record(payload, offset, source))
-                    count += 1
+                    records.append(_unpickle_record(payload, offset, source))
             except PersistenceError:
                 if not strict:
-                    return records, count, valid_end, 0
+                    return records, valid_end, 0
                 raise
             valid_end = frame_end
             offset = frame_end
         else:
             newline = data.find(b"\n", offset)
             if newline == -1:
-                return records, count, valid_end, 1
+                return records, valid_end, 1
             line = data[offset:newline].strip()
             line_start = offset
             offset = newline + 1
             if not line:
                 valid_end = offset
                 continue
-            if decode:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if not data[offset:].strip():
-                        # A corrupt final line is the signature of a crash
-                        # mid-append; everything before it is intact.
-                        return records, count, valid_end, 1
-                    if not strict:
-                        return records, count, valid_end, 0
-                    raise PersistenceError(
-                        f"corrupt journal record at byte {line_start}"
-                        f" in {source}"
-                    ) from exc
-                members = _logical_records(record)
-                records.extend(members)
-                count += len(members)
-            else:
-                count += _count_json_line(line)
+            try:
+                members = _logical_records(json.loads(line))
+            except ValueError as exc:
+                # Not UTF-8, not JSON, or JSON that is not a record.
+                if not data[offset:].strip():
+                    # A corrupt final line is the signature of a crash
+                    # mid-append; everything before it is intact.
+                    return records, valid_end, 1
+                if not strict:
+                    return records, valid_end, 0
+                raise PersistenceError(
+                    f"corrupt journal record at byte {line_start}"
+                    f" in {source}"
+                ) from exc
+            records.extend(members)
             valid_end = offset
-    return records, count, valid_end, 0
+    return records, valid_end, 0
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +518,12 @@ class Journal(ABC):
         #: group counts once); the file journal includes a torn tail it
         #: healed away at open time.  See :meth:`recover`.
         self.skipped_trailing_records = 0
+        #: what the last restart did (see :meth:`recover`): records
+        #: scanned, messages restored, and whether the owning manager
+        #: then compacted the log (0/1, set by ``QueueManager.recover``)
+        self.recover_records = 0
+        self.recover_live = 0
+        self.recover_compacted = 0
         #: commit groups coalesced by the adaptive flush timer (logical
         #: groups buffered; each physical drain covers one or more)
         self.adaptive_groups_coalesced = 0
@@ -924,42 +907,58 @@ class Journal(ABC):
         """Fold the log into (defined queue names, live messages per queue).
 
         Replay semantics: ``put`` adds a message, ``get`` removes it,
-        ``define``/``delete`` maintain the queue set.  Unknown record types
-        raise :class:`PersistenceError` (a corrupt journal must not be
-        silently half-recovered).  A corrupt **trailing** record — the
-        partial frame a crash mid-append leaves behind — is skipped but
-        never silently: it is logged and counted in
-        :attr:`skipped_trailing_records`, which this method refreshes.
+        ``define``/``delete`` maintain the queue set.  The fold runs on
+        the *undecoded* records — every record is checked structurally
+        (known op, a queue name, a message id), but only the puts no
+        later ``get``/``delete`` removed go through
+        :func:`decode_message` and ``Message`` validation, so a restart
+        costs what its live state costs, not what its history did.
+        Unknown record types and structurally broken records raise
+        :class:`PersistenceError` (a corrupt journal must not be silently
+        half-recovered).  A corrupt **trailing** record — the partial
+        frame a crash mid-append leaves behind — is skipped but never
+        silently: it is logged and counted in
+        :attr:`skipped_trailing_records`, which this method refreshes
+        along with :attr:`recover_records` and :attr:`recover_live`.
         """
         self.drain()
-        queue_names: List[str] = []
-        live: Dict[str, Dict[str, Message]] = {}
-        for record in self.read_all():
+        # queue -> message id -> undecoded message record.  Both levels
+        # are insertion-ordered: definition order and put order.
+        live: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        records = self.read_all()
+        for record in records:
             op = record.get("op")
             if op in ("snapshot-begin", "snapshot-end"):
                 continue
-            queue_name = record.get("queue")
-            if op == "define":
-                if queue_name not in live:
-                    queue_names.append(queue_name)
-                    live[queue_name] = {}
-            elif op == "delete":
-                if queue_name in live:
-                    queue_names.remove(queue_name)
-                    del live[queue_name]
-            elif op == "put":
-                message = decode_message(record["message"])
-                live.setdefault(queue_name, {})
-                if queue_name not in queue_names:
-                    queue_names.append(queue_name)
-                live[queue_name][message.message_id] = message
-            elif op == "get":
-                live.get(queue_name, {}).pop(record.get("message_id"), None)
-            else:
+            if op not in ("define", "delete", "put", "get"):
                 raise PersistenceError(f"unknown journal op {op!r}")
-        return queue_names, {
-            name: list(messages.values()) for name, messages in live.items()
+            queue_name = record.get("queue")
+            if not isinstance(queue_name, str):
+                raise PersistenceError(f"journal {op!r} record names no queue")
+            if op == "define":
+                live.setdefault(queue_name, {})
+            elif op == "delete":
+                live.pop(queue_name, None)
+            else:
+                encoded = record.get("message") if op == "put" else record
+                message_id = (
+                    encoded.get("message_id") if isinstance(encoded, dict) else None
+                )
+                if message_id is None:
+                    raise PersistenceError(
+                        f"journal {op!r} record for {queue_name!r} names no message"
+                    )
+                if op == "put":
+                    live.setdefault(queue_name, {})[message_id] = encoded
+                else:
+                    live.get(queue_name, {}).pop(message_id, None)
+        messages = {
+            name: [decode_message(encoded) for encoded in puts.values()]
+            for name, puts in live.items()
         }
+        self.recover_records = len(records)
+        self.recover_live = sum(len(restored) for restored in messages.values())
+        return list(live), messages
 
 
 class MemoryJournal(Journal):
@@ -993,7 +992,13 @@ class MemoryJournal(Journal):
 
     def read_all(self) -> List[Dict[str, Any]]:
         self.drain()
-        records, _, _, torn = _scan_journal(b"".join(self._frames), "<memory>")
+        data = b"".join(self._frames)
+        records, valid_end, torn = _scan_journal(data, "<memory>")
+        if torn:
+            # Heal in the pass that found it, as the file journal does: an
+            # append landing behind torn bytes would be mid-log corruption.
+            self._frames = [data[:valid_end]]
+            self._record_count = len(records)
         self.skipped_trailing_records = torn
         return records
 
@@ -1014,11 +1019,14 @@ class FileJournal(Journal):
     records (``codec="binary"``); reads auto-detect per frame, so a file
     may mix both.  The append handle stays open for the journal's
     lifetime (no per-append open/close); :meth:`rewrite` swaps the file
-    atomically and reopens it.  Opening an existing log **heals** a torn
-    final frame (the artifact of a crash mid-append) by truncating it —
-    counted in :attr:`skipped_trailing_records` — so later appends can
-    never concatenate onto torn bytes.  The sync policy decides when
-    ``os.fsync`` runs:
+    atomically and reopens it.  Opening an existing log reads, CRC-checks
+    and decodes it **once**: that pass **heals** a torn final frame (the
+    artifact of a crash mid-append) by truncating it — counted in
+    :attr:`skipped_trailing_records` — so later appends can never
+    concatenate onto torn bytes, counts the records for :meth:`size`, and
+    hands what it decoded to the first :meth:`read_all`, so a restart
+    (open, then :meth:`recover`) passes over the bytes one time, not two.
+    The sync policy decides when ``os.fsync`` runs:
 
     * ``always`` — after every commit group (a group-committed batch still
       costs one fsync, which is the point of batching);
@@ -1037,6 +1045,10 @@ class FileJournal(Journal):
             sync=sync, compaction_threshold=compaction_threshold, codec=codec
         )
         self.path = path
+        self._healed_trailing_records = 0
+        #: records the open scan decoded, kept for the first
+        #: :meth:`read_all` (``None`` once handed over or rewritten)
+        self._opened: Optional[List[Dict[str, Any]]] = None
         directory = os.path.dirname(os.path.abspath(path))
         try:
             os.makedirs(directory, exist_ok=True)
@@ -1046,48 +1058,46 @@ class FileJournal(Journal):
             # that recovery refuses.  Heal before opening the append
             # handle: the torn tail was never acknowledged durable (every
             # committed write is complete before fsync returns), so
-            # truncating it is exactly crash semantics.  The same scan
-            # counts the intact records once.
-            (
-                self._healed_trailing_records,
-                self._records_in_log,
-            ) = self._heal_and_count()
+            # truncating it is exactly crash semantics.  The scan is
+            # tolerant — mid-file corruption is :meth:`read_all`'s to
+            # refuse, not the constructor's.
+            self._opened = self._scan_file(strict=False)
             # "ab" creates the file if missing, so recover() on a fresh
             # journal succeeds.
             self._fh = open(path, "ab")
         except OSError as exc:
             raise PersistenceError(f"journal open failed: {exc}") from exc
-        self.skipped_trailing_records = self._healed_trailing_records
 
-    def _heal_and_count(self) -> Tuple[int, int]:
-        """Truncate a torn final frame; count the intact records.
+    def _scan_file(self, strict: bool) -> List[Dict[str, Any]]:
+        """Read, CRC-check and decode the file in one pass, healing its tail.
 
-        Returns ``(torn records removed, logical records in the log)``.
-        The scan is structural and tolerant: a complete-but-unparseable
-        frame counts as one record and is left in place —
-        :meth:`read_all` rejects mid-file corruption properly.
+        A torn final frame — including a complete but unparseable final
+        JSON line — is truncated away by the pass that found it, logged,
+        and counted in :attr:`skipped_trailing_records` until the next
+        :meth:`rewrite`.  Records how far the intact content ran
+        (``_scanned_bytes``) and how many records it held.
         """
+        records: List[Dict[str, Any]] = []
+        valid_end = torn = 0
         try:
-            fh = open(self.path, "rb+")
+            with open(self.path, "rb+") as fh:
+                data = fh.read()
+                records, valid_end, torn = _scan_journal(data, self.path, strict)
+                if torn:
+                    fh.truncate(valid_end)
+                    logger.warning(
+                        "journal %s: truncated torn trailing record (%d bytes)"
+                        " left by a crash mid-append",
+                        self.path,
+                        len(data) - valid_end,
+                    )
         except FileNotFoundError:
-            return 0, 0
-        with fh:
-            data = fh.read()
-            if not data:
-                return 0, 0
-            _, count, valid_end, torn = _scan_journal(
-                data, self.path, decode=False, strict=False
-            )
-            if not torn:
-                return 0, count
-            fh.truncate(valid_end)
-        logger.warning(
-            "journal %s: truncated torn trailing record (%d bytes) left by"
-            " a crash mid-append",
-            self.path,
-            len(data) - valid_end,
-        )
-        return 1, count
+            pass  # a fresh journal; the append handle creates the file
+        self._healed_trailing_records += torn
+        self.skipped_trailing_records = self._healed_trailing_records
+        self._records_in_log = len(records)
+        self._scanned_bytes = valid_end
+        return records
 
     def _write_serialized(self, frames: List[bytes], record_count: int) -> int:
         buf = b"".join(frames)
@@ -1122,21 +1132,17 @@ class FileJournal(Journal):
 
     def read_all(self) -> List[Dict[str, Any]]:
         self.drain()
+        records, self._opened = self._opened, None
         try:
             if not self._fh.closed:
                 self._fh.flush()
-            with open(self.path, "rb") as f:
-                data = f.read()
+            # What the open scan decoded is the log as long as the file
+            # still ends where that scan did — nothing appended since, and
+            # no mid-file corruption the tolerant scan stopped short of.
+            if records is None or os.path.getsize(self.path) != self._scanned_bytes:
+                records = self._scan_file(strict=True)
         except OSError as exc:
             raise PersistenceError(f"journal read failed: {exc}") from exc
-        records, _, _, torn = _scan_journal(data, self.path)
-        # Torn records healed away when the file was opened stay counted:
-        # they are part of what recovery skipped for this log.
-        self.skipped_trailing_records = self._healed_trailing_records + torn
-        if torn:
-            logger.warning(
-                "journal %s: skipped corrupt trailing record", self.path
-            )
         return records
 
     def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
@@ -1145,8 +1151,7 @@ class FileJournal(Journal):
         frames = [self.codec.encode_record(record) for record in records]
         try:
             with open(tmp_path, "wb") as f:
-                for frame in frames:
-                    f.write(frame)
+                f.writelines(frames)
                 f.flush()
                 if self.sync_policy != "none":
                     os.fsync(f.fileno())
@@ -1157,14 +1162,13 @@ class FileJournal(Journal):
         except OSError as exc:
             raise PersistenceError(f"journal rewrite failed: {exc}") from exc
         self._records_in_log = len(frames)
+        self._opened = None
         # The rewritten log no longer contains the healed torn tail.
         self._healed_trailing_records = 0
 
     def size(self) -> int:
         """Number of logical records currently in the live log."""
         return self._records_in_log
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.errors import PersistenceError
+from repro.errors import MQError, PersistenceError
 from repro.mq.manager import QueueManager
 from repro.mq.message import DeliveryMode, Message
 from repro.mq.persistence import (
@@ -204,6 +204,38 @@ class TestJournalRecovery:
         with pytest.raises(PersistenceError):
             journal.recover()
 
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"op": "put", "queue": "A.Q", "message_id": "m1"},  # no message
+            {"op": "put", "queue": "A.Q", "message": {"body": {"kind": "json", "data": 1}}},
+            {"op": "put", "message": {"message_id": "m1"}},  # no queue
+            {"op": "get", "queue": "A.Q"},  # names no message
+        ],
+    )
+    def test_structurally_broken_record_refuses_recovery_even_when_dead(self, broken):
+        # The fold skips decoding puts a later get removes, but never the
+        # structural check: a record it cannot place is corruption.
+        journal = MemoryJournal()
+        journal.append({"op": "define", "queue": "A.Q"})
+        journal.append(broken)
+        journal.append({"op": "get", "queue": "A.Q", "message_id": "m1"})
+        with pytest.raises(PersistenceError):
+            journal.recover()
+
+    def test_only_surviving_puts_are_validated(self):
+        # A consumed put is history: its message fields are not decoded,
+        # so a field only Message validation would reject cannot stop a
+        # restart once the message is gone.  Live, it still does.
+        dead = encode_message(Message(body="x", message_id="m1"))
+        dead["priority"] = 99
+        journal = MemoryJournal()
+        journal.append({"op": "put", "queue": "A.Q", "message": dead})
+        with pytest.raises(MQError, match="priority"):
+            journal.recover()
+        journal.append({"op": "get", "queue": "A.Q", "message_id": "m1"})
+        assert journal.recover() == (["A.Q"], {"A.Q": []})
+
 
 class TestFileJournal:
     def test_roundtrip_on_disk(self, clock, tmp_path):
@@ -253,6 +285,31 @@ class TestFileJournal:
             f.write('{"op": "define", "queue": "A.Q", "config": {}}\n')
         with pytest.raises(PersistenceError):
             FileJournal(path).read_all()
+
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"[1, 2]", b"5", b'{"op": "group", "records": 5}',
+         b'{"op": "group", "records": [1]}', b"\xff\xfe not utf-8"],
+    )
+    def test_lines_that_are_not_records_are_corruption(self, line, tmp_path):
+        # The open scan decodes, so hostile bytes must cost it nothing
+        # worse than they cost read_all: a typed refusal mid-file, a
+        # healed tail at the end.
+        path = str(tmp_path / "hostile.journal")
+        define = b'{"op": "define", "queue": "A.Q"}\n'
+        with open(path, "wb") as f:
+            f.write(line + b"\n" + define)
+        opened = FileJournal(path)  # tolerant: refusing is read_all's job
+        with pytest.raises(PersistenceError):
+            opened.read_all()
+        opened.close()
+        with open(path, "wb") as f:
+            f.write(define + line + b"\n")
+        healed = FileJournal(path)
+        assert healed.skipped_trailing_records == 1
+        assert healed.read_all() == [{"op": "define", "queue": "A.Q"}]
+        healed.close()
 
 
 class TestCommitGroupAtomicity:

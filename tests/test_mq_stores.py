@@ -10,8 +10,10 @@ from repro.mq.manager import QueueManager
 from repro.mq.message import DeliveryMode, Message
 from repro.mq.persistence import (
     JOURNAL_SCHEMES,
+    BinaryRecordCodec,
     FileJournal,
     MemoryJournal,
+    encode_message,
     journal_factory_for,
     journal_for,
 )
@@ -178,6 +180,153 @@ def test_auto_compaction(scheme, clock, tmp_path):
     recovered = QueueManager.recover("QM.S", clock, journal)
     assert len(list(recovered.browse("A.Q"))) == 40
     journal.close()
+
+
+def log_bytes(store):
+    """The log exactly as stored: file content, or the memory frames."""
+    if isinstance(store, MemoryJournal):
+        return b"".join(store._frames)
+    with open(store.path, "rb") as handle:
+        return handle.read()
+
+
+def all_fields(manager):
+    """Every queue's messages, in delivery order, with every field."""
+    return {
+        name: [encode_message(m) for m in manager.browse(name)]
+        for name in manager.queue_names()
+    }
+
+
+TORN_PUT = {"op": "put", "queue": "A.Q", "message": encode_message(Message(body="torn"))}
+
+
+def corrupt_crc_frame(_codec):
+    frame = bytearray(BinaryRecordCodec().encode_record(TORN_PUT))
+    frame[-1] ^= 0xFF
+    return bytes(frame)
+
+
+#: what a crash mid-append can leave at the end of a log: codec -> bytes
+BAD_TAILS = {
+    "truncated frame": lambda codec: codec.encode_record(TORN_PUT)[:-4],
+    "unparseable final JSON line": lambda _codec: b'{"op": "put", "queue": "A.Q", "mess\n',
+    "wrong CRC at end of file": corrupt_crc_frame,
+}
+
+
+@pytest.mark.parametrize("scheme", LOG_SCHEMES)
+class TestRestartPolicy:
+    """A restart costs what is live: it rewrites the log only when at
+    least half of it is dead or its tail needed healing, and a bad tail is
+    healed by the pass that finds it."""
+
+    def crash_with_tail(self, scheme, tmp_path, clock, tail):
+        """Five journaled puts, then ``tail`` torn onto the end of the log."""
+        store = open_store(scheme, tmp_path)
+        manager = QueueManager("QM.S", clock, journal=store)
+        manager.define_queue("A.Q")
+        for i in range(5):
+            manager.put("A.Q", Message(body=i))
+        raw = BAD_TAILS[tail](store.codec)
+        if scheme in PATH_SCHEMES:
+            store.close()
+            with open(store.path, "ab") as handle:
+                handle.write(raw)
+        else:
+            store._frames.append(raw)
+        return manager
+
+    @pytest.mark.parametrize("tail", sorted(BAD_TAILS))
+    def test_bad_tail_is_healed_by_the_pass_that_finds_it(
+        self, scheme, tail, clock, tmp_path
+    ):
+        manager = self.crash_with_tail(scheme, tmp_path, clock, tail)
+        store = durable(manager)
+        if scheme in PATH_SCHEMES:
+            store = open_store(scheme, tmp_path)
+        before = store.read_all()
+        assert len(before) == 6 and store.skipped_trailing_records == 1
+        # An append now must not land behind the bad bytes: that would be
+        # mid-log corruption, which the next read refuses.
+        store.append({"op": "define", "queue": "B.Q"})
+        assert store.read_all() == before + [{"op": "define", "queue": "B.Q"}]
+        assert store.size() == 7
+        store.close()
+
+    @pytest.mark.parametrize("tail", sorted(BAD_TAILS))
+    def test_restart_append_restart_after_a_bad_tail(
+        self, scheme, tail, clock, tmp_path
+    ):
+        manager = self.crash_with_tail(scheme, tmp_path, clock, tail)
+        first = restart(scheme, tmp_path, clock, manager)
+        assert durable(first).skipped_trailing_records == 1
+        assert durable(first).recover_compacted == 1  # healing rewrites
+        first.put("A.Q", Message(body=5))
+        second = restart(scheme, tmp_path, clock, first)
+        assert [m.body for m in second.browse("A.Q")] == [0, 1, 2, 3, 4, 5]
+        assert durable(second).skipped_trailing_records == 0  # reported once
+        durable(second).close()
+
+    def test_restart_leaves_an_all_live_log_as_found(self, scheme, clock, tmp_path):
+        manager = QueueManager("QM.S", clock, journal=open_store(scheme, tmp_path))
+        manager.define_queue("A.Q")
+        manager.define_queue("B.Q")
+        for i in range(4):
+            manager.put("A.Q", Message(body=i, priority=i % 3))
+        manager.checkpoint()
+        for i in range(6):
+            manager.put(
+                "B.Q" if i % 2 else "A.Q",
+                Message(body={"n": i}, correlation_id=f"c{i}", priority=i % 4)
+                .with_properties(kind="k", n=i),
+            )
+        expected = all_fields(manager)
+        found = log_bytes(durable(manager))
+        # The explicit checkpoint above, on the surviving memory object.
+        rewrites = 1 if scheme == "memory" else 0
+        first = restart(scheme, tmp_path, clock, manager)
+        store = durable(first)
+        assert (store.rewrites, store.recover_compacted) == (rewrites, 0)
+        assert (store.recover_records, store.recover_live) == (store.size(), 10)
+        assert log_bytes(store) == found
+        assert all_fields(first) == expected
+        second = restart(scheme, tmp_path, clock, first)
+        assert durable(second).rewrites == rewrites
+        assert log_bytes(durable(second)) == found
+        assert all_fields(second) == expected
+        durable(second).close()
+
+    def test_restart_compacts_a_log_at_least_half_dead(self, scheme, clock, tmp_path):
+        manager = QueueManager("QM.S", clock, journal=open_store(scheme, tmp_path))
+        manager.define_queue("A.Q")
+        for i in range(10):
+            manager.put("A.Q", Message(body=i))
+        for _ in range(8):
+            manager.get("A.Q")
+        assert durable(manager).size() == 19  # define + 10 puts + 8 gets
+        recovered = restart(scheme, tmp_path, clock, manager)
+        store = durable(recovered)
+        assert store.recover_compacted == 1
+        assert (store.recover_records, store.recover_live) == (19, 2)
+        # Two markers, a define per queue (A.Q and the dead-letter queue),
+        # a put per live message: what a checkpoint writes.
+        assert store.size() == 2 + len(recovered.queue_names()) + 2 == 6
+        assert [m.body for m in recovered.browse("A.Q")] == [8, 9]
+        store.close()
+
+    def test_restart_keeps_a_log_less_than_half_dead(self, scheme, clock, tmp_path):
+        manager = QueueManager("QM.S", clock, journal=open_store(scheme, tmp_path))
+        manager.define_queue("A.Q")
+        for i in range(10):
+            manager.put("A.Q", Message(body=i))
+        manager.get("A.Q")
+        recovered = restart(scheme, tmp_path, clock, manager)
+        store = durable(recovered)
+        # 12 records against a 13-record snapshot: nothing to gain.
+        assert (store.recover_compacted, store.size()) == (0, 12)
+        assert [m.body for m in recovered.browse("A.Q")] == list(range(1, 10))
+        store.close()
 
 
 class TestSchemeTable:

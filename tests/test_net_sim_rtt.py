@@ -55,10 +55,38 @@ def test_lost_attempt_backs_off_and_retries_at_rto(network, scheduler, clock):
     chan = network.channel("QM.A", "QM.B")
     assert managers["QM.B"].depth("IN.Q") == 10  # reliable despite loss
     assert chan.stats.failed_attempts > 0
-    # Every failed attempt doubled the RTO once (clamped).
-    assert chan.rtt.backoffs == chan.stats.failed_attempts
+    # Losses double the RTO (clamped), at most once per timeout interval.
+    assert 0 < chan.rtt.backoffs <= chan.stats.failed_attempts
     # Samples only from the (rare at 90% loss) clean first attempts.
     assert chan.rtt.samples <= 10 - 1
+
+
+def test_concurrent_losses_inside_one_interval_back_off_once(
+    network, scheduler, clock
+):
+    """RFC 6298 §5.5: the channel's one timer backs off per *expiry*.  N
+    parked messages losing an attempt inside one timeout interval are one
+    expiry — not N doublings, which at 30 in flight turned an 11 ms RTO
+    into 45 s and missed a pick-up window the retries would have met."""
+    managers = build(network, clock, latency_ms=10, loss_rate=0.5,
+                     retry_interval_ms=100)
+    managers["QM.B"].define_queue("IN.Q")
+    lost = iter([0.0] * 8)  # the first attempt of each message is lost
+    network._rng.random = lambda: next(lost, 1.0)
+    for i in range(8):
+        managers["QM.A"].put_remote("QM.B", "IN.Q", Message(body=i))
+    scheduler.run_all()
+    chan = network.channel("QM.A", "QM.B")
+    assert managers["QM.B"].depth("IN.Q") == 8
+    assert chan.stats.failed_attempts == 8
+    assert chan.rtt.backoffs == 1
+    assert chan.rtt.rto == 200.0  # every delivery was a retry: no sample (Karn)
+    # A loss after that interval has run out is a new expiry.
+    lost = iter([0.0])
+    managers["QM.A"].put_remote("QM.B", "IN.Q", Message(body="later"))
+    scheduler.run_all()
+    assert managers["QM.B"].depth("IN.Q") == 9
+    assert chan.rtt.backoffs == 2
 
 
 def test_karn_rule_retried_message_never_samples(network, scheduler, clock):

@@ -189,6 +189,37 @@ class TestManagerInstrumentation:
         assert registry.counter("dead_letters.QM.T") == 1
 
 
+    def test_restart_says_what_it_did(self, clock):
+        from repro.mq.manager import QueueManager
+        from repro.mq.persistence import MemoryJournal
+
+        journal = MemoryJournal()
+        manager = QueueManager("QM.T", clock, journal=journal)
+        manager.define_queue("APP.Q")
+        for i in range(6):
+            manager.put("APP.Q", Message(body=i))
+        registry = MetricsRegistry()
+        QueueManager.recover("QM.T", clock, journal, metrics=registry)
+        # define + 6 puts, all live: scanned, restored, left as found.
+        assert registry.counter("journal.recover.records") == 7
+        assert registry.counter("journal.recover.live") == 6
+        assert registry.counter("journal.recover.compacted") == 0
+        assert len(registry.histogram("journal.recover.ms")) == 1
+        for _ in range(5):
+            manager.get("APP.Q")
+        QueueManager.recover("QM.T", clock, journal, metrics=registry)
+        # Counters add up over restarts; this one found 12 records with
+        # one message live and compacted the log.
+        assert registry.counter("journal.recover.records") == 7 + 12
+        assert registry.counter("journal.recover.live") == 6 + 1
+        assert registry.counter("journal.recover.compacted") == 1
+        assert len(registry.histogram("journal.recover.ms")) == 2
+        # The same three counts, for the last restart, without a registry.
+        assert (
+            journal.recover_records, journal.recover_live, journal.recover_compacted
+        ) == (12, 1, 1)
+
+
 class TestEndToEndTrace:
     """One conditional message's full path through a Testbed."""
 

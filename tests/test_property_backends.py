@@ -90,6 +90,9 @@ def test_bad_pattern_fails_at_subscribe_not_publish():
 # -- cross-backend recovery equivalence -------------------------------------
 
 BACKENDS = sorted(JOURNAL_SCHEMES)
+#: restarts in a row at each restart point: the second and third start
+#: from whatever log the one before left (as found, or compacted)
+RESTARTS_IN_A_ROW = 3
 
 queue_names = st.sampled_from(["A.Q", "B.Q"])
 ops = st.lists(
@@ -107,37 +110,38 @@ ops = st.lists(
             st.integers(min_value=1, max_value=4),    # batch size
         ),
         st.tuples(st.just("checkpoint")),
+        st.tuples(st.just("restart")),
     ),
     min_size=1,
     max_size=25,
 )
 
 
-def _apply_ops(manager, op_list):
-    counter = 0
-    for op in op_list:
-        if op[0] == "put":
-            _, queue, priority, persistent = op
-            mode = (
-                DeliveryMode.PERSISTENT if persistent
-                else DeliveryMode.NON_PERSISTENT
-            )
-            manager.put(
-                queue,
-                Message(body=counter, priority=priority, delivery_mode=mode),
-            )
-            counter += 1
-        elif op[0] == "get":
-            if manager.depth(op[1]) > 0:
-                manager.get(op[1])
-        elif op[0] == "put_batch":
-            _, queue, size = op
-            batch = [Message(body=counter + i) for i in range(size)]
-            counter += size
-            with manager.group_commit():
-                manager.put_many(queue, batch)
-        else:
-            manager.checkpoint()
+class QueueModel:
+    """What the queues must hold: (body, priority, persistent) entries in
+    delivery order — priority descending, first in first out within one."""
+
+    def __init__(self, keeps_volatile):
+        self.keeps_volatile = keeps_volatile
+        self.queues = {"A.Q": [], "B.Q": []}
+
+    def put(self, queue, body, priority=4, persistent=True):
+        entries = self.queues[queue]
+        index = len(entries)
+        while index and entries[index - 1][1] < priority:
+            index -= 1
+        entries.insert(index, (body, priority, persistent))
+
+    def get(self, queue):
+        if self.queues[queue]:
+            self.queues[queue].pop(0)
+
+    def restart(self):
+        if not self.keeps_volatile:
+            self.queues = {
+                queue: [entry for entry in entries if entry[2]]
+                for queue, entries in self.queues.items()
+            }
 
 
 def _queue_state(manager):
@@ -147,45 +151,67 @@ def _queue_state(manager):
     }
 
 
-def _persistent_only(state):
-    return {
-        queue: [entry for entry in entries if entry[2]]
-        for queue, entries in state.items()
-    }
+def _restart(manager, backend, factory, clock):
+    """Crash and recover as a new process would: path schemes get a fresh
+    store object over the same file, ``memory`` its surviving journal."""
+    store = manager.journal or manager.store
+    if JOURNAL_SCHEMES[backend][3]:
+        store.close()
+        store = factory("QM.EQ")
+    return QueueManager.recover("QM.EQ", clock, store)
 
 
 @settings(max_examples=25, deadline=None)
 @given(ops)
 def test_same_ops_recover_identically_on_every_backend(op_list):
-    live, recovered = {}, {}
-    with tempfile.TemporaryDirectory() as tmpdir:
-        for backend in BACKENDS:
+    """One op sequence on every scheme against one model, with restarts at
+    random points — no checkpoint first, three in a row, each compared
+    with the model — and one at the end."""
+    for backend in BACKENDS:
+        with tempfile.TemporaryDirectory() as tmpdir:
             clock = SimulatedClock()
-            journal = journal_factory_for(backend, tmpdir, sync="batch")(
-                f"QM.{backend}"
-            )
-            manager = QueueManager("QM.EQ", clock, journal=journal)
+            factory = journal_factory_for(backend, tmpdir, sync="batch")
+            # The one legitimate difference: the SQL database outlives the
+            # manager, so non-persistent messages survive a restart too.
+            model = QueueModel(keeps_volatile=backend == "sqlstore")
+            manager = QueueManager("QM.EQ", clock, journal=factory("QM.EQ"))
             for queue in ("A.Q", "B.Q"):
                 manager.define_queue(queue)
-            _apply_ops(manager, op_list)
-            live[backend] = _queue_state(manager)
-            recovered[backend] = _queue_state(
-                QueueManager.recover("QM.EQ", clock, journal)
-            )
-            journal.close()
-    for backend in BACKENDS:
-        # Before the crash every store serves the same queue content...
-        assert live[backend] == live["memory"]
-        # ...and every store recovers the same persistent messages.
-        assert _persistent_only(recovered[backend]) == _persistent_only(
-            live["memory"]
-        )
-        if backend == "sqlstore":
-            # The one legitimate difference: the database outlives the
-            # manager, so non-persistent messages survive the restart too.
-            assert recovered[backend] == live[backend]
-        else:
-            assert recovered[backend] == _persistent_only(live[backend])
+            counter = 0
+            for op in op_list + [("restart",)]:
+                if op[0] == "put":
+                    _, queue, priority, persistent = op
+                    mode = (
+                        DeliveryMode.PERSISTENT if persistent
+                        else DeliveryMode.NON_PERSISTENT
+                    )
+                    manager.put(
+                        queue,
+                        Message(body=counter, priority=priority, delivery_mode=mode),
+                    )
+                    model.put(queue, counter, priority, persistent)
+                    counter += 1
+                elif op[0] == "get":
+                    if manager.depth(op[1]) > 0:
+                        manager.get(op[1])
+                    model.get(op[1])
+                elif op[0] == "put_batch":
+                    _, queue, size = op
+                    batch = [Message(body=counter + i) for i in range(size)]
+                    with manager.group_commit():
+                        manager.put_many(queue, batch)
+                    for message in batch:
+                        model.put(queue, message.body)
+                    counter += size
+                elif op[0] == "checkpoint":
+                    manager.checkpoint()
+                else:
+                    assert _queue_state(manager) == model.queues, (backend, "live")
+                    model.restart()
+                    for nth in range(RESTARTS_IN_A_ROW):
+                        manager = _restart(manager, backend, factory, clock)
+                        assert _queue_state(manager) == model.queues, (backend, nth)
+            (manager.journal or manager.store).close()
 
 
 # -- keyed lookups: both queue classes answer alike ---------------------------

@@ -1,6 +1,7 @@
 """Counts that cannot creep back: the per-message path neither browses a
 queue nor does Python work per stored message, however deep the backlog
-and however long the history.
+and however long the history, and a restart decodes what is live, not
+what was ever logged.
 
 Timing would be noise in tier-1; these are exact counts.  ``browses`` is
 the queue's own counter; *visits* are calls of ``Message.is_expired`` /
@@ -17,9 +18,11 @@ from repro.core.logqueues import (
     SENDER_LOG_QUEUE,
 )
 from repro.core.outcome import MessageOutcome
-from repro.mq.manager import XMIT_PREFIX
+from repro.mq import persistence
+from repro.mq.manager import XMIT_PREFIX, QueueManager
 from repro.mq.message import Message
 from repro.mq.persistence import journal_factory_for
+from repro.sim.clock import SimulatedClock
 from repro.workloads.scenarios import Testbed
 
 FANOUT8 = [f"R{i}" for i in range(1, 9)]
@@ -161,3 +164,34 @@ def test_visits_per_message_do_not_grow_with_history(visits):
     assert failure_round() == first
     assert bed.manager_of("R1").depth(RECEIVER_LOG_QUEUE) == 3_000
     assert bed.receiver("R2").stats.cancellations == 3_000
+
+
+@pytest.mark.parametrize("backend", ["memory", "binfile"])
+def test_restart_decodes_only_the_messages_that_survive(backend, monkeypatch, tmp_path):
+    """1,000 journaled puts, 900 journaled gets: the replay folds all
+    1,900 records but decodes (and validates) the 100 survivors only."""
+    decodes = {"n": 0}
+    original = persistence.decode_message
+
+    def counting(record):
+        decodes["n"] += 1
+        return original(record)
+
+    monkeypatch.setattr(persistence, "decode_message", counting)
+    clock = SimulatedClock()
+    factory = journal_factory_for(backend, str(tmp_path), sync="none")
+    manager = QueueManager("QM.S", clock, journal=factory("QM.S"))
+    manager.define_queue("A.Q")
+    for i in range(1_000):
+        manager.put("A.Q", Message(body=i))
+    for _ in range(900):
+        manager.get("A.Q")
+    journal = manager.journal
+    if backend != "memory":
+        journal.close()
+        journal = factory("QM.S")  # a restarted process opens the file anew
+    recovered = QueueManager.recover("QM.S", clock, journal)
+    assert decodes["n"] == 100
+    assert (journal.recover_records, journal.recover_live) == (1_901, 100)
+    assert [m.body for m in recovered.browse("A.Q")] == list(range(900, 1_000))
+    journal.close()
