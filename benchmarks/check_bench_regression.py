@@ -19,13 +19,18 @@ metrics the file carries (auto-detected from its shape):
   receiver processes) when the file carries a ``multiprocess`` section;
 * ``BENCH_persistence.json`` — ``flushes_per_sec`` per journal backend
   (each backend gated separately, so one backend regressing cannot hide
-  behind another improving);
+  behind another improving), plus the exact ``records_per_send`` and
+  ``bytes_per_send`` of each backend;
 * ``BENCH_query.json`` — ``speedup_10k``, the worst selector-pushdown
   speedup over the linear scan at depth 10k;
 * ``BENCH_pubsub.json`` — ``speedup_10k_subs``, the subscription-trie
   matching speedup over the linear pattern scan at 10k subscriptions.
 
-All metrics are higher-is-better; a gate fails when the current value is
+The counts are machine-independent, so they are gated at **zero
+tolerance upward** whatever tolerance the gate was given: one more record
+or byte per send than the committed baseline fails, fewer asks for the
+baseline to be refreshed.  All other metrics are higher-is-better; a gate
+fails when the current value is
 more than ``tolerance`` (default 25%) below the baseline.  Wall-clock
 numbers on shared CI runners are noisy even with best-of-N reporting, so
 the tolerance is deliberately loose: the gate exists to catch real
@@ -104,11 +109,46 @@ def extract_metrics(path, data):
     raise SystemExit(f"{path}: unrecognized benchmark shape (keys {sorted(data)})")
 
 
+#: exact per-backend counts of ``BENCH_persistence.json`` (lower is better)
+COUNT_FIELDS = ("records_per_send", "bytes_per_send")
+
+
+def extract_counts(data):
+    """name -> exact count, for the shapes that carry any."""
+    return {
+        f"{entry.get('backend', '?')} {field}": entry[field]
+        for entry in data.get("backends", ())
+        for field in COUNT_FIELDS
+        if field in entry
+    }
+
+
+def check_counts(current_path, baseline, current):
+    """Zero tolerance upward; returns the number of counts that grew."""
+    failures = 0
+    for name, base in sorted(baseline.items()):
+        now = current.get(name)
+        print(f"{current_path}: {name} baseline {base}, current {now} (exact count)")
+        if now is None or now > base:
+            print(
+                f"FAIL: {name} grew (or is missing); counts do not depend on"
+                f" the machine, so this is the code.",
+                file=sys.stderr,
+            )
+            failures += 1
+        elif now < base:
+            print(f"note: {name} fell — commit the fresh {current_path}.")
+    return failures
+
+
 def check_gate(baseline_path, current_path, tolerance):
     """Print the comparison; return the number of regressed metrics."""
-    baseline = extract_metrics(baseline_path, _load(baseline_path))
-    current = extract_metrics(current_path, _load(current_path))
-    failures = 0
+    baseline_data, current_data = _load(baseline_path), _load(current_path)
+    baseline = extract_metrics(baseline_path, baseline_data)
+    current = extract_metrics(current_path, current_data)
+    failures = check_counts(
+        current_path, extract_counts(baseline_data), extract_counts(current_data)
+    )
     for name, base in sorted(baseline.items()):
         if name not in current:
             print(

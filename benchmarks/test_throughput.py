@@ -381,7 +381,9 @@ def test_persistence_backends(report, tmp_path):
     """PERSISTENCE: journal backends compared at fan-out ``FAN_OUT``.
 
     For each backend, runs ``N_PERSISTENCE`` group-committed conditional
-    sends on a journaled testbed (flushes/sec, sends/sec, wall clock),
+    sends on a journaled testbed (flushes/sec, sends/sec, wall clock)
+    and one more for the exact records and bytes a send adds to the
+    sender's store (the SQL store counts row operations and no bytes),
     then reopens the sender's journal and times
     :meth:`QueueManager.recover` over it.  Backends must agree on the
     recovered queue depths — the store changes, the state must not.
@@ -406,6 +408,13 @@ def test_persistence_backends(report, tmp_path):
             testbed.service.send_message({"n": i}, condition)
         send_elapsed = time.perf_counter() - started
         flushes = journal.flush_count - flushes_before
+        # One more send, of a fixed body and outside the timing: what it
+        # adds to the sender's store is an exact count — the same on every
+        # machine and at every N — which CI gates at zero tolerance.
+        records_before, bytes_before = journal.records_written, journal.bytes_written
+        testbed.service.send_message({"n": 0}, condition)
+        records_per_send = journal.records_written - records_before
+        bytes_per_send = journal.bytes_written - bytes_before
 
         # Recovery: reopen the store exactly as a restart would (memory
         # journals survive only in-process, so recover from the live
@@ -436,6 +445,8 @@ def test_persistence_backends(report, tmp_path):
                 "sends_per_sec": N_PERSISTENCE / send_elapsed if send_elapsed
                 else float("inf"),
                 "send_wall_s": send_elapsed,
+                "records_per_send": records_per_send,
+                "bytes_per_send": bytes_per_send,
                 "recovery_wall_s": recovery_elapsed,
                 "recovered_queues": len(recovered_depths[backend]),
             }
@@ -444,7 +455,8 @@ def test_persistence_backends(report, tmp_path):
     table = Table(
         f"PERSISTENCE: journal backends at fan-out {FAN_OUT} "
         f"({N_PERSISTENCE} sends)",
-        ["backend", "flushes/sec", "sends/sec", "recovery (s)"],
+        ["backend", "flushes/sec", "sends/sec", "records/send", "bytes/send",
+         "recovery (s)"],
     )
     for row in results:
         table.add_row(
@@ -452,6 +464,8 @@ def test_persistence_backends(report, tmp_path):
                 row["backend"],
                 round(row["flushes_per_sec"], 1),
                 round(row["sends_per_sec"], 1),
+                row["records_per_send"],
+                row["bytes_per_send"],
                 round(row["recovery_wall_s"], 4),
             ]
         )

@@ -19,68 +19,51 @@ reappear on their queues.
 Throughput comes from **group commit** (Gray: queue systems batch many log
 records per force-out):
 
-* :meth:`Journal.append_many` writes a whole batch of records with a single
-  write+flush;
-* :meth:`Journal.batch` is a context manager that buffers every append made
-  inside it and commits the lot as one group write on exit — the queue
-  manager exposes it as ``QueueManager.group_commit()`` and the
-  conditional-send fan-out routes through it, so one conditional send costs
-  one journal flush instead of ``2N+1``;
-* a multi-record commit group is written as **one physical frame** (a
-  ``group`` wrapper record), so a torn write can never persist a prefix of
-  a group: recovery replays the whole group or drops it with the torn
-  tail, making group commit genuinely all-or-nothing;
-* :meth:`Journal.enable_adaptive_flush` arms an **adaptive flush timer**:
-  commit groups are held in memory for a bounded window so that groups
-  from *separate* sends coalesce into one physical write.  The window is
-  an RFC 6298-style EWMA of commit-group inter-arrival gaps
-  (``srtt + 4·rttvar``, clamped to ``[min_hold_ms, max_hold_ms]``) — under
-  load the journal learns the arrival rate and keeps the group open just
-  long enough for the next send to join it.  Deferred work
-  (:meth:`post_commit` actions, cross-manager transfers) is held with the
-  records and released by :meth:`drain`, preserving the durability order;
-* :meth:`Journal.post_commit` defers an action until the staged records
-  are durable — the network layer uses it to hold cross-manager delivery
-  until the sender's commit group has been written, preserving the
-  compensation-and-log-first durability order;
+* :meth:`Journal.append_many` writes a whole batch of records, and
+  :meth:`Journal.batch` (``QueueManager.group_commit()``; the
+  conditional-send fan-out routes through it) every append made inside the
+  block, as one commit group with a single write+flush;
+* a commit group is **one physical frame**, so a torn write can never
+  persist a prefix of it: recovery replays the whole group or drops it
+  with the torn tail — group commit is genuinely all-or-nothing;
+* :meth:`Journal.enable_adaptive_flush` holds commit groups for a bounded,
+  arrival-rate-adaptive window so groups from *separate* sends coalesce
+  into one physical write, and :meth:`Journal.post_commit` defers an
+  action (cross-manager delivery) until the staged records are durable;
 * the **sync policy** (``always`` / ``batch`` / ``none``) controls when the
-  file journal forces data to disk (``os.fsync``): per commit group, only
-  on explicit :meth:`FileJournal.sync` / checkpoint, or never;
-* a ``compaction_threshold`` lets the owning queue manager trigger
-  checkpoint compaction automatically once the log grows past a bound, so
-  ``rewrite`` cost is amortized over many appends.
+  file journal forces data to disk (``os.fsync``), and a
+  ``compaction_threshold`` lets the owning queue manager checkpoint
+  automatically once the log grows past a bound.
 
 Records are serialized by one of two **codecs**:
 
 * ``json`` (default) — one JSON document per line, human-readable;
-* ``binary`` — a compact length-prefixed frame (magic byte, 4-byte length,
-  CRC-32, pickled record), roughly halving encode cost and bytes per
-  record.
+* ``binary`` — one ``magic | length | CRC-32 | payload`` frame per commit
+  group, the payload encoded in one pass with one memo: each record is a
+  positional row, and an object several rows share (the body of a
+  fan-out's copies, the compensation body) is written once.
 
+Both write **data only** — dict / list / tuple / set / str / bytes /
+numbers / bool / None; anything else is refused at the put, before
+anything is written — and no reader can be made to resolve a global or
+call anything, whatever bytes the store holds (docs/SEMANTICS.md §9).
 Recovery **auto-detects** the format frame by frame (a JSON line starts
 with ``{``, a binary frame with its magic byte), so journals written under
-one codec — or a mixture, e.g. a JSON log appended to by a binary-codec
-journal after an upgrade — replay unchanged.
+one codec, an earlier version of it, or a mixture replay unchanged.
 
-Two log stores exist: :class:`FileJournal` (frames on disk, one persistent
-append handle) and :class:`MemoryJournal` (same record stream, kept in a
-list; used by tests that inject crashes without touching the filesystem).
-Both count ``flush_count`` / ``bytes_written`` / batch sizes, and report
-them through an attached :class:`~repro.obs.registry.MetricsRegistry`
-(``journal.flushes``, ``journal.records``, ``journal.bytes``,
-``journal.batch_records``) when the owning manager carries one.
-
-Deployments pick the store by URL: :data:`JOURNAL_SCHEMES` is the one
-place the list of stores is written (the log journals above plus
-``sqlstore:``, the SQL store of :mod:`repro.mq.sqlstore`, which is not a
-log at all), :func:`journal_for` maps a URL to a constructed store, and
-:func:`journal_factory_for` derives per-manager stores for testbed-style
-deployments.
+Two log stores exist — :class:`FileJournal` (frames on disk, one append
+handle) and :class:`MemoryJournal` (the same stream in a list, for tests that
+inject crashes) — with the same ``flush_count`` / ``bytes_written`` counters,
+mirrored as ``journal.*`` metrics when the owning manager carries a registry.
+Deployments pick the store by URL: :data:`JOURNAL_SCHEMES` is the one place
+the list of stores is written (the journals above plus ``sqlstore:``, which
+is not a log at all); see :func:`journal_for` and :func:`journal_factory_for`.
 """
 
 from __future__ import annotations
 
 import base64
+import io
 import json
 import logging
 import os
@@ -89,6 +72,7 @@ import struct
 import zlib
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import PersistenceError
@@ -101,71 +85,80 @@ logger = logging.getLogger(__name__)
 SYNC_POLICIES = ("always", "batch", "none")
 
 # ---------------------------------------------------------------------------
-# Message <-> record codec
+# Message <-> record codec, over a closed value set: data-only pickling
 # ---------------------------------------------------------------------------
 
-#: Scalar types the json module emits natively.
-_JSON_SCALARS = (str, int, float, bool, type(None))
+
+class _DataPickler(pickle.Pickler):
+    """A pickler for plain data and nothing else.  CPython dispatches dict /
+    list / tuple / set / frozenset / str / bytes / bytearray / int / float /
+    bool / None (exact types) before it consults ``reducer_override``, so the
+    hook fires exactly for what the journal refuses: class instances,
+    functions, types, subclasses of the above."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        raise pickle.PicklingError(f"{type(obj).__name__} object is not data")
 
 
-def _is_json_safe(value: Any, _seen: Optional[set] = None) -> bool:
-    """Cheap structural probe: would ``json.dumps(value)`` succeed?
+class _DataUnpickler(pickle.Unpickler):
+    """An unpickler that can never resolve a global, so never call one."""
 
-    Walks the value checking types only — no string is ever built, unlike
-    a throwaway ``json.dumps`` probe.  Containers are checked against a
-    seen-set so circular structures report unsafe (``json.dumps`` raises
-    ``ValueError`` on them) instead of recursing forever.
+    def find_class(self, module: str, name: str) -> Any:
+        raise pickle.UnpicklingError(f"journal data names a global {module}.{name}")
+
+
+def dump_data(value: Any) -> bytes:
+    """``value`` as a data-only pickle; ``PicklingError`` if it is not data."""
+    buffer = io.BytesIO()
+    _DataPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(value)
+    return buffer.getvalue()
+
+
+def load_data(data: bytes) -> Any:
+    """Inverse of :func:`dump_data`; whatever ``data`` holds, nothing in it
+    runs: a global (or a non-pickle) is a :class:`PersistenceError`."""
+    try:
+        return _DataUnpickler(io.BytesIO(data)).load()
+    except Exception as exc:  # noqa: BLE001 - any load failure is corruption
+        raise PersistenceError(f"undecodable journal data: {exc}") from exc
+
+
+def _is_json_safe(value: Any, _inside: frozenset = frozenset()) -> bool:
+    """Cheap structural probe: would JSON carry ``value`` there and back?
+
+    Walks the value checking exact types only — no string is ever built.
+    Only what JSON returns unchanged passes: ``json.dumps`` would turn a
+    tuple into a list and an int key into a string, silently corrupting the
+    body, and raises on a cycle (``_inside``: the containers being walked).
     """
-    if isinstance(value, bool) or value is None:
+    kind = type(value)
+    if value is None or kind in (str, int, float, bool):
         return True
-    if isinstance(value, _JSON_SCALARS):
-        return True
-    if isinstance(value, (list, tuple)):
-        if _seen is None:
-            _seen = set()
-        if id(value) in _seen:
+    if id(value) in _inside:
+        return False
+    inside = _inside | {id(value)}
+    if kind is dict:
+        if not all(type(key) is str for key in value):
             return False
-        _seen.add(id(value))
-        result = all(_is_json_safe(item, _seen) for item in value)
-        _seen.discard(id(value))
-        return result
-    if isinstance(value, dict):
-        if _seen is None:
-            _seen = set()
-        if id(value) in _seen:
-            return False
-        _seen.add(id(value))
-        # Only str keys: json.dumps would coerce int/bool/None keys to
-        # strings, silently corrupting the body on decode — pickle those.
-        result = all(
-            isinstance(key, str) and _is_json_safe(val, _seen)
-            for key, val in value.items()
-        )
-        _seen.discard(id(value))
-        return result
-    return False
+        value = value.values()
+    elif kind is not list:
+        return False
+    return all(_is_json_safe(item, inside) for item in value)
 
 
-def encode_body(body: Any, native: bool = False) -> Dict[str, Any]:
-    """Encode a message body for the journal.
+def encode_body(body: Any) -> Dict[str, Any]:
+    """Encode a message body for a JSON document.
 
     JSON-representable bodies are stored natively (readable journals);
-    anything else is pickled and base64-wrapped.  The JSON check is a
-    structural type probe — the body is serialized exactly once, when the
-    enclosing record is appended, not twice.
-
-    ``native=True`` (used when the enclosing record is bound for a codec
-    whose frames are pickled wholesale, like the binary codec) stores the
-    body as-is under ``kind="raw"``: the probe and the pickle+base64
-    detour are pure overhead when the frame serializer handles arbitrary
-    objects anyway.
+    other data (tuples, sets, bytes, non-string keys) as a base64-wrapped
+    data-only pickle; anything that is not data — a class instance, a
+    function — is a :class:`PersistenceError`.  The JSON check is a
+    structural type probe, so the body is serialized exactly once.
     """
-    if native:
-        return {"kind": "raw", "data": body}
     if _is_json_safe(body):
         return {"kind": "json", "data": body}
     try:
-        blob = pickle.dumps(body)
+        blob = dump_data(body)
     except Exception as exc:  # noqa: BLE001 - report what body failed
         raise PersistenceError(
             f"message body of type {type(body).__name__} is not journalable"
@@ -174,39 +167,18 @@ def encode_body(body: Any, native: bool = False) -> Dict[str, Any]:
 
 
 def decode_body(record: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_body`."""
+    """Inverse of :func:`encode_body` (``raw`` is a body a binary frame
+    carried as it was)."""
     kind = record.get("kind")
     if kind in ("json", "raw"):
         return record["data"]
     if kind == "pickle":
-        return pickle.loads(base64.b64decode(record["data"]))
+        return load_data(base64.b64decode(record["data"]))
     raise PersistenceError(f"unknown body encoding {kind!r}")
 
 
-def encode_message(message: Message, native: bool = False) -> Dict[str, Any]:
-    """Encode a full message as a journalable dict.
-
-    ``native`` is forwarded to :func:`encode_body` — pass true only when
-    the record is bound for a codec that serializes frames with pickle.
-    """
-    return {
-        "message_id": message.message_id,
-        "correlation_id": message.correlation_id,
-        "body": encode_body(message.body, native=native),
-        "properties": dict(message.properties),
-        "priority": message.priority,
-        "delivery_mode": message.delivery_mode.value,
-        "expiry_ms": message.expiry_ms,
-        "reply_to_manager": message.reply_to_manager,
-        "reply_to_queue": message.reply_to_queue,
-        "put_time_ms": message.put_time_ms,
-        "backout_count": message.backout_count,
-        "source_manager": message.source_manager,
-    }
-
-
 def decode_message(record: Dict[str, Any]) -> Message:
-    """Inverse of :func:`encode_message`."""
+    """Inverse of :func:`encode_message`; absent fields take their defaults."""
     try:
         return Message(
             body=decode_body(record["body"]),
@@ -226,23 +198,44 @@ def decode_message(record: Dict[str, Any]) -> Message:
         raise PersistenceError(f"journal message record missing field {exc}") from exc
 
 
-def _logical_records(record: Any) -> List[Dict[str, Any]]:
-    """The logical records one decoded JSON line carries.
+#: A logged operation is a **row**: ``(op, queue, ...)``, positional, trailing
+#: default values dropped.  After ``("put", queue`` come the message fields in
+#: this order — what a message usually sets first, so the usual row ends early.
+_MESSAGE_FIELDS = (
+    "message_id", "body", "properties", "put_time_ms", "correlation_id",
+    "source_manager", "reply_to_manager", "reply_to_queue",
+    "priority", "expiry_ms", "backout_count", "delivery_mode",
+)  # fmt: skip
+#: per row position, the value dropped when trailing (the first six: never)
+_PUT_DEFAULTS = (object(),) * 6 + (None, None, None, None, 4, None, 0, "persistent")
 
-    A ``group`` record is the single-frame envelope a multi-record commit
-    group is written as (see :meth:`Journal._write_group`); readers see
-    the logical member records, never the envelope.  JSON that is not a
-    record (or a group of records) is a :class:`ValueError`, like JSON
-    that does not parse.
-    """
-    members = [record]
-    if isinstance(record, dict) and record.get("op") == "group":
-        members = record.get("records")
-    if not isinstance(members, list) or not all(
-        isinstance(member, dict) for member in members
-    ):
-        raise ValueError("not a journal record")
-    return members
+
+def _put_row(queue_name: str, message: Message) -> tuple:
+    row = (
+        "put", queue_name, message.message_id, message.body, message.properties,
+        message.put_time_ms, message.correlation_id, message.source_manager,
+        message.reply_to_manager, message.reply_to_queue, message.priority,
+        message.expiry_ms, message.backout_count, message.delivery_mode.value,
+    )  # fmt: skip
+    end = len(row)
+    while row[end - 1] == _PUT_DEFAULTS[end - 1]:
+        end -= 1
+    return row[:end]
+
+
+def _expand_row(row: tuple, body_codec: Optional[Callable] = None) -> Dict[str, Any]:
+    """The dict form of a row — what readers see and JSON lines spell out."""
+    if row[0] != "put":
+        return dict(zip(("op", "queue", "message_id"), row))
+    message = dict(zip(_MESSAGE_FIELDS, row[2:]))
+    body = message["body"]
+    message["body"] = body_codec(body) if body_codec else {"kind": "raw", "data": body}
+    return {"op": "put", "queue": row[1], "message": message}
+
+
+def encode_message(message: Message) -> Dict[str, Any]:
+    """Encode a full message as a JSON-ready dict (trailing defaults omitted)."""
+    return _expand_row(_put_row("", message), encode_body)["message"]
 
 
 def _check_sync_policy(sync: str) -> str:
@@ -257,12 +250,12 @@ def _check_sync_policy(sync: str) -> str:
 # Record codecs: JSON lines and length-prefixed binary frames
 # ---------------------------------------------------------------------------
 
-#: First byte of a binary record / group frame.  Chosen outside printable
-#: ASCII so no frame can ever be mistaken for the start of a JSON line
-#: (which always begins with ``{``); the decoder dispatches per frame on
-#: this byte, which is what lets JSON and binary content coexist in one
-#: journal.
-_MAGIC_RECORD = 0xB1
+#: First byte of a binary frame, outside printable ASCII so no frame can be
+#: mistaken for a JSON line (which begins with ``{``): the decoder dispatches
+#: per frame on this byte, which lets JSON and binary content coexist in one
+#: journal.  A *run* frame's payload is records pickled one after another
+#: through one memo; a *group* frame's payload is run frames, concatenated.
+_MAGIC_RUN = 0xB1
 _MAGIC_GROUP = 0xB2
 
 #: Binary frame header: magic byte, payload length, CRC-32 of the payload.
@@ -274,14 +267,33 @@ def _bin_frame(magic: int, payload: bytes) -> bytes:
 
 
 class JsonLinesCodec:
-    """One JSON document per newline-terminated line (human-readable)."""
+    """One JSON document per newline-terminated line (human-readable).
+
+    A codec object holds the commit group its journal is staging:
+    :meth:`stage` encodes records onto it (all of the call's records or, if
+    one is refused, none), :meth:`take` hands the group over as frames,
+    :meth:`wrap_group` makes several frames one physical frame, and
+    :meth:`encode_record` is a finished frame of its own.
+    """
 
     name = "json"
-    #: Message bodies must be JSON-encodable (or pickle+base64-wrapped).
-    native_bodies = False
 
-    def encode_record(self, record: Dict[str, Any]) -> bytes:
+    def __init__(self) -> None:
+        self._frames: List[bytes] = []
+
+    def encode_record(self, record: Any) -> bytes:
+        if type(record) is tuple:
+            record = _expand_row(record, encode_body)
         return json.dumps(record).encode("utf-8") + b"\n"
+
+    def stage(self, records: Iterable[Any]) -> int:
+        lines = [self.encode_record(record) for record in records]
+        self._frames += lines
+        return len(lines)
+
+    def take(self) -> List[bytes]:
+        frames, self._frames = self._frames, []
+        return frames
 
     def wrap_group(self, frames: List[bytes]) -> bytes:
         # Members are serialized already; wrap without re-serializing.
@@ -290,100 +302,99 @@ class JsonLinesCodec:
 
 
 class BinaryRecordCodec:
-    """Compact length-prefixed frames: magic, length, CRC-32, pickle.
+    """Length-prefixed frames: magic, length, CRC-32, data-only pickles.
 
-    The CRC turns a torn or bit-rotted frame into a detected error
-    instead of a silent mis-replay; a group frame's payload is the
-    concatenation of its member record frames, so the whole group shares
-    one header and is dropped or replayed atomically.
+    The unit of encoding is the commit group: every record staged between
+    two :meth:`take` calls goes through **one pickler with one memo**, so
+    an object several records share — a fan-out's body, the compensation
+    body, a conditional message id — is written once, and the group leaves
+    as one frame under one CRC, which turns a torn or bit-rotted frame into
+    a detected error: the frame is dropped or replayed whole.  What is not
+    plain data is refused in :meth:`stage`, before anything is written.
     """
 
     name = "binary"
-    #: Frames are pickled wholesale, so message bodies can be stored
-    #: as-is (``encode_body(..., native=True)``) — no JSON-safety probe,
-    #: no pickle+base64 detour per body.
-    native_bodies = True
 
-    def encode_record(self, record: Dict[str, Any]) -> bytes:
+    def __init__(self) -> None:
+        self._frames: List[bytes] = []
+        #: the open run: what the pickler has written since the last take()
+        self._chunks: List[bytes] = []
+        self._pickler = _DataPickler(
+            SimpleNamespace(write=self._chunks.append), pickle.HIGHEST_PROTOCOL
+        )
+
+    def encode_record(self, record: Any) -> bytes:
+        if self._frames or self._chunks:
+            return type(self)().encode_record(record)
+        self.stage((record,))
+        return self.take()[0]
+
+    def stage(self, records: Iterable[Any]) -> int:
+        chunks, dump = self._chunks, self._pickler.dump
+        mark = len(chunks)
+        count = 0
         try:
-            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            for record in records:
+                dump(record)
+                count += 1
         except Exception as exc:  # noqa: BLE001 - report what record failed
-            raise PersistenceError(
-                "journal record is not serializable by the binary codec"
-            ) from exc
-        return _bin_frame(_MAGIC_RECORD, payload)
+            # Cut this call's records off.  The memo may name objects whose
+            # bytes are gone now, so what was staged before closes as a run
+            # of its own and the group continues in a fresh one.
+            del chunks[mark:]
+            self._frames = self.take()
+            raise PersistenceError(f"journal record refused: {exc}") from exc
+        return count
+
+    def take(self) -> List[bytes]:
+        chunks = self._chunks
+        if chunks:
+            payload = b"".join(chunks)
+            chunks.clear()
+            self._frames.append(_bin_frame(_MAGIC_RUN, payload))
+        self._pickler.clear_memo()
+        frames, self._frames = self._frames, []
+        return frames
 
     def wrap_group(self, frames: List[bytes]) -> bytes:
         return _bin_frame(_MAGIC_GROUP, b"".join(frames))
 
 
-#: codec name -> codec instance (stateless singletons).  A codec provides
-#: ``encode_record(record) -> bytes`` (a self-delimiting frame) and
-#: ``wrap_group(frames) -> bytes`` (one physical frame holding the member
-#: frames).  Decoding is codec-independent: the frame scanner recognizes
-#: both formats by their first byte.
-_CODECS: Dict[str, Any] = {"json": JsonLinesCodec(), "binary": BinaryRecordCodec()}
+#: codec name -> codec class; each journal owns one instance.  Decoding is
+#: codec-independent: the scanner recognizes both formats by their first byte.
+_CODECS: Dict[str, Any] = {"json": JsonLinesCodec, "binary": BinaryRecordCodec}
 
 
-def _unpickle_record(payload: bytes, offset: int, source: str) -> Dict[str, Any]:
-    try:
-        record = pickle.loads(payload)
-    except Exception as exc:  # noqa: BLE001 - any unpickle failure is corruption
-        raise PersistenceError(
-            f"undecodable journal frame at byte {offset} in {source}"
-        ) from exc
-    if not isinstance(record, dict):
-        raise PersistenceError(
-            f"journal frame at byte {offset} in {source} is not a record"
-        )
-    return record
-
-
-def _scan_group_payload(
-    payload: bytes, offset: int, source: str
-) -> List[Dict[str, Any]]:
-    """Decode the member record frames inside a binary group payload.
-
-    The group's own CRC already matched, so a malformed member here is
-    real corruption.
-    """
-    members: List[Dict[str, Any]] = []
-    position = 0
+def _load_run(payload: bytes) -> List[Dict[str, Any]]:
+    """Decode the records of one run payload, rows expanded to dicts."""
+    records: List[Dict[str, Any]] = []
+    stream = io.BytesIO(payload)
+    load = _DataUnpickler(stream).load
     end = len(payload)
-    while position < end:
-        header_end = position + _BIN_HEADER.size
-        if header_end > end:
-            raise PersistenceError(
-                f"malformed journal group frame at byte {offset} in {source}"
-            )
-        magic, length, crc = _BIN_HEADER.unpack_from(payload, position)
-        member_end = header_end + length
-        if magic != _MAGIC_RECORD or member_end > end:
-            raise PersistenceError(
-                f"malformed journal group frame at byte {offset} in {source}"
-            )
-        member = payload[header_end:member_end]
-        if zlib.crc32(member) != crc:
-            raise PersistenceError(
-                f"corrupt member frame in journal group at byte {offset}"
-                f" in {source}"
-            )
-        members.append(_unpickle_record(member, offset, source))
-        position = member_end
-    return members
+    try:
+        while stream.tell() < end:
+            record = load()
+            if type(record) is tuple:
+                record = _expand_row(record)
+            elif not isinstance(record, dict):
+                raise ValueError("not a record")
+            records.append(record)
+    except Exception as exc:  # noqa: BLE001 - any load failure is corruption
+        raise PersistenceError(f"undecodable journal frame: {exc}") from exc
+    return records
 
 
 def _scan_journal(
     data: bytes,
     source: str,
     strict: bool = True,
+    in_group: bool = False,
 ) -> Tuple[List[Dict[str, Any]], int, int]:
     """Decode a journal byte stream, auto-detecting the frame format.
 
     Each frame is dispatched on its first byte: the binary magic bytes
     select a length-prefixed frame, anything else a newline-terminated
-    JSON line — so JSON and binary content can coexist in one journal
-    (e.g. an old JSON log appended to under the binary codec).
+    JSON line — so JSON and binary content can coexist in one journal.
 
     Returns ``(records, valid_end, torn)``:
 
@@ -399,15 +410,24 @@ def _scan_journal(
     Corruption *before* intact content is not a crash artefact: with
     ``strict`` it raises :class:`PersistenceError`; without (the
     tolerant open-time scan) the scan simply stops there, ``valid_end``
-    short of the stream's end.
+    short of the stream's end.  ``in_group`` scans the payload of a group
+    frame, which holds run frames and nothing else.
     """
     records: List[Dict[str, Any]] = []
     offset = 0
     valid_end = 0
     end = len(data)
+
+    def corrupt(what: str, at: int, exc: Optional[Exception] = None) -> tuple:
+        if strict:
+            raise PersistenceError(f"corrupt {what} at byte {at} in {source}") from exc
+        return records, valid_end, 0
+
     while offset < end:
         first = data[offset]
-        if first in (_MAGIC_RECORD, _MAGIC_GROUP):
+        if in_group and first != _MAGIC_RUN:
+            raise PersistenceError("malformed journal group frame")
+        if first in (_MAGIC_RUN, _MAGIC_GROUP):
             header_end = offset + _BIN_HEADER.size
             if header_end > end:
                 return records, valid_end, 1
@@ -422,20 +442,19 @@ def _scan_journal(
                     # the payload; at end-of-stream that is crash
                     # semantics, not bit rot.
                     return records, valid_end, 1
-                if not strict:
-                    return records, valid_end, 0
-                raise PersistenceError(
-                    f"corrupt journal frame at byte {offset} in {source}"
-                )
+                return corrupt("journal frame", offset)
             try:
                 if magic == _MAGIC_GROUP:
-                    records.extend(_scan_group_payload(payload, offset, source))
+                    # Its own CRC matched, so a member that does not scan
+                    # to the last byte is real corruption.
+                    members, scanned, _torn = _scan_journal(payload, source, True, True)
+                    if scanned != length:
+                        raise PersistenceError("malformed journal group frame")
+                    records.extend(members)
                 else:
-                    records.append(_unpickle_record(payload, offset, source))
-            except PersistenceError:
-                if not strict:
-                    return records, valid_end, 0
-                raise
+                    records.extend(_load_run(payload))
+            except PersistenceError as exc:
+                return corrupt("journal frame", offset, exc)
             valid_end = frame_end
             offset = frame_end
         else:
@@ -449,19 +468,22 @@ def _scan_journal(
                 valid_end = offset
                 continue
             try:
-                members = _logical_records(json.loads(line))
+                # A ``group`` record is the one-line envelope of a commit
+                # group; readers see its members, never the envelope.
+                members = [json.loads(line)]
+                if isinstance(members[0], dict) and members[0].get("op") == "group":
+                    members = members[0].get("records")
+                if not isinstance(members, list) or not all(
+                    isinstance(member, dict) for member in members
+                ):
+                    raise ValueError("not a journal record")
             except ValueError as exc:
                 # Not UTF-8, not JSON, or JSON that is not a record.
                 if not data[offset:].strip():
                     # A corrupt final line is the signature of a crash
                     # mid-append; everything before it is intact.
                     return records, valid_end, 1
-                if not strict:
-                    return records, valid_end, 0
-                raise PersistenceError(
-                    f"corrupt journal record at byte {line_start}"
-                    f" in {source}"
-                ) from exc
+                return corrupt("journal record", line_start, exc)
             records.extend(members)
             valid_end = offset
     return records, valid_end, 0
@@ -503,7 +525,7 @@ class Journal(ABC):
             raise PersistenceError(
                 f"unknown journal codec {codec!r}; expected one of {sorted(_CODECS)}"
             )
-        self.codec = _CODECS[codec]
+        self.codec = _CODECS[codec]()
         #: records durably handed to the store over this object's lifetime
         self.records_written = 0
         #: commit groups written (each is one write+flush; the unit whose
@@ -537,8 +559,9 @@ class Journal(ABC):
         #: default) costs one attribute check per flush.
         self.on_pre_flush: Optional[Callable[[int], None]] = None
         self.on_post_flush: Optional[Callable[[int], None]] = None
+        self._records_in_log = 0  # see size(); stores reset it on scan / rewrite
         self._batch_depth = 0
-        self._batch_buffer: List[bytes] = []
+        self._batch_count = 0  # records the codec holds staged for the open batch
         self._post_commit_hooks: List[Callable[[], None]] = []
         # Adaptive flush state (armed by enable_adaptive_flush).
         self._af_scheduler: Optional[Any] = None
@@ -550,20 +573,18 @@ class Journal(ABC):
         self._af_rttvar = 0.0
         self._af_last_arrival_ms: Optional[int] = None
         self._af_pending: List[bytes] = []
+        self._af_count = 0  # logical records in the held frames
         self._af_event: Optional[Any] = None
         self._held_hooks: List[Callable[[], None]] = []
 
     # -- store primitives ---------------------------------------------------
 
     @abstractmethod
-    def _write_serialized(self, frames: List[bytes], record_count: int) -> int:
+    def _write_serialized(self, frames: List[bytes]) -> int:
         """Durably append pre-serialized frames; returns byte count.
 
         One call is one commit group: implementations perform a single
         write (+flush/fsync per the sync policy) for the whole list.
-        ``record_count`` is the number of *logical* records the frames
-        carry (a multi-record group arrives as one wrapped frame), for
-        the store's :meth:`size` accounting.
         """
 
     @abstractmethod
@@ -574,7 +595,6 @@ class Journal(ABC):
     def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
         """Atomically replace the log content (used by checkpointing)."""
 
-    @abstractmethod
     def size(self) -> int:
         """Number of logical records currently in the live log.
 
@@ -582,25 +602,24 @@ class Journal(ABC):
         though the group occupies one physical frame.  Records held by
         the adaptive flush timer are not yet in the log.
         """
+        return self._records_in_log
 
     # -- appends ------------------------------------------------------------
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record (buffered inside :meth:`batch`)."""
-        self._stage([self.codec.encode_record(record)])
+    def append(self, record: Any) -> None:
+        """Durably append one record of plain data (buffered inside :meth:`batch`)."""
+        self._stage((record,))
 
-    def append_many(self, records: Iterable[Dict[str, Any]]) -> None:
+    def append_many(self, records: Iterable[Any]) -> None:
         """Group-commit a batch of records with a single write+flush.
 
         Serialization happens eagerly, so an unjournalable record raises
-        before anything is written.  The group is written as one physical
+        before anything is written (inside a :meth:`batch`: before any
+        record of this call joins the group).  The group is one physical
         frame (see :meth:`_write_group`), so it is all-or-nothing even
-        against a torn write: recovery replays the whole group or none
-        of it, never a prefix.
+        against a torn write: recovery replays all of it or none.
         """
-        frames = [self.codec.encode_record(record) for record in records]
-        if frames:
-            self._stage(frames)
+        self._stage(records)
 
     @contextmanager
     def batch(self) -> Iterator["Journal"]:
@@ -630,9 +649,9 @@ class Journal(ABC):
             self._batch_depth -= 1
             if self._batch_depth == 0:
                 try:
-                    if self._batch_buffer:
-                        frames, self._batch_buffer = self._batch_buffer, []
-                        self._commit_group(frames)
+                    if self._batch_count:
+                        count, self._batch_count = self._batch_count, 0
+                        self._commit_group(self.codec.take(), count)
                     elif body_raised:
                         # Nothing was staged and the block aborted: the
                         # hooks belong to work that never happened.
@@ -675,42 +694,43 @@ class Journal(ABC):
         else:
             callback()
 
-    def _stage(self, frames: List[bytes]) -> None:
+    def _stage(self, records: Iterable[Any]) -> None:
+        """Encode records onto the open commit group — once, here, so what is
+        not data is refused at its own put — and commit it unless batching."""
+        count = self.codec.stage(records)
         if self._batch_depth:
-            self._batch_buffer.extend(frames)
-        else:
-            self._commit_group(frames)
+            self._batch_count += count
+        elif count:
+            self._commit_group(self.codec.take(), count)
 
-    def _commit_group(self, frames: List[bytes]) -> None:
+    def _commit_group(self, frames: List[bytes], count: int) -> None:
         """One logical commit group: write now, or hold for coalescing."""
         if self._af_scheduler is not None:
-            self._af_buffer(frames)
+            self._af_buffer(frames, count)
         else:
-            self._write_group(frames)
+            self._write_group(frames, count)
 
-    def _write_group(self, frames: List[bytes]) -> None:
+    def _write_group(self, frames: List[bytes], count: int) -> None:
+        """Hand ``count`` logical records, encoded as ``frames``, to the store."""
         if len(frames) > 1:
-            # A multi-record group becomes ONE physical frame, so a torn
-            # write cannot persist a prefix of the group: either the frame
-            # decodes and the whole group replays, or it is dropped as the
-            # torn tail.  Members are serialized already; wrap without
-            # re-serializing.
-            physical = [self.codec.wrap_group(frames)]
-        else:
-            physical = frames
+            # What is written together becomes ONE physical frame, so a torn
+            # write cannot persist a prefix of it: either the frame decodes
+            # and the whole group replays, or it is dropped as the torn tail.
+            frames = [self.codec.wrap_group(frames)]
         if self.on_pre_flush is not None:
-            self.on_pre_flush(len(frames))
-        nbytes = self._write_serialized(physical, len(frames))
+            self.on_pre_flush(count)
+        nbytes = self._write_serialized(frames)
+        self._records_in_log += count
         if self.on_post_flush is not None:
-            self.on_post_flush(len(frames))
-        self.records_written += len(frames)
+            self.on_post_flush(count)
+        self.records_written += count
         self.flush_count += 1
         self.bytes_written += nbytes
         if self.metrics is not None:
             self.metrics.incr("journal.flushes")
-            self.metrics.incr("journal.records", len(frames))
+            self.metrics.incr("journal.records", count)
             self.metrics.incr("journal.bytes", nbytes)
-            self.metrics.observe("journal.batch_records", len(frames))
+            self.metrics.observe("journal.batch_records", count)
 
     # -- adaptive flush -----------------------------------------------------
 
@@ -776,9 +796,9 @@ class Journal(ABC):
         drained = 0
         if self._af_pending:
             frames, self._af_pending = self._af_pending, []
-            drained = len(frames)
+            drained, self._af_count = self._af_count, 0
             try:
-                self._write_group(frames)
+                self._write_group(frames, drained)
             except BaseException:
                 self._held_hooks.clear()
                 raise
@@ -792,12 +812,13 @@ class Journal(ABC):
             raise
         return drained
 
-    def _af_buffer(self, frames: List[bytes]) -> None:
+    def _af_buffer(self, frames: List[bytes], count: int) -> None:
         now = self._af_scheduler.clock.now_ms()
         self._af_observe_arrival(now)
         self.adaptive_groups_coalesced += 1
         first = not self._af_pending
         self._af_pending.extend(frames)
+        self._af_count += count
         if self._post_commit_hooks:
             # Hooks captured by the enclosing batch() exit must not fire
             # until the held group is durable.
@@ -859,45 +880,36 @@ class Journal(ABC):
 
     # -- logical operations -------------------------------------------------
 
-    def _put_record(self, queue_name: str, message: Message) -> Dict[str, Any]:
-        return {
-            "op": "put",
-            "queue": queue_name,
-            "message": encode_message(message, native=self.codec.native_bodies),
-        }
-
     def log_put(self, queue_name: str, message: Message) -> None:
         """Record a committed put of a persistent message."""
-        self.append(self._put_record(queue_name, message))
+        self.append(_put_row(queue_name, message))
 
     def log_put_many(self, puts: Iterable[Tuple[str, Message]]) -> None:
         """Record a batch of committed puts as one commit group."""
-        self.append_many(
-            self._put_record(queue_name, message) for queue_name, message in puts
-        )
+        self.append_many(_put_row(queue_name, message) for queue_name, message in puts)
 
     def log_get(self, queue_name: str, message_id: str) -> None:
         """Record a committed destructive get of a persistent message."""
-        self.append({"op": "get", "queue": queue_name, "message_id": message_id})
+        self.append(("get", queue_name, message_id))
 
     def log_queue_defined(self, queue_name: str) -> None:
         """Record that a queue was defined (so recovery recreates it)."""
-        self.append({"op": "define", "queue": queue_name})
+        self.append(("define", queue_name))
 
     def log_queue_deleted(self, queue_name: str) -> None:
         """Record that a queue was deleted."""
-        self.append({"op": "delete", "queue": queue_name})
+        self.append(("delete", queue_name))
 
     def checkpoint(self, queues: Dict[str, List[Message]]) -> None:
         """Compact the log to a single snapshot of current persistent state."""
         self.drain()
-        records: List[Dict[str, Any]] = [{"op": "snapshot-begin"}]
+        records: List[tuple] = [("snapshot-begin",)]
         for queue_name in sorted(queues):
-            records.append({"op": "define", "queue": queue_name})
+            records.append(("define", queue_name))
             for message in queues[queue_name]:
                 if message.is_persistent():
-                    records.append(self._put_record(queue_name, message))
-        records.append({"op": "snapshot-end"})
+                    records.append(_put_row(queue_name, message))
+        records.append(("snapshot-end",))
         self.rewrite(records)
         self.rewrites += 1
         if self.metrics is not None:
@@ -981,13 +993,9 @@ class MemoryJournal(Journal):
             sync=sync, compaction_threshold=compaction_threshold, codec=codec
         )
         self._frames: List[bytes] = []
-        self._record_count = 0
 
-    def _write_serialized(self, frames: List[bytes], record_count: int) -> int:
-        # Records arrive pre-serialized (bodies were validated journalable
-        # at append time, matching the file journal's failure behaviour).
+    def _write_serialized(self, frames: List[bytes]) -> int:
         self._frames.extend(frames)
-        self._record_count += record_count
         return sum(len(frame) for frame in frames)
 
     def read_all(self) -> List[Dict[str, Any]]:
@@ -998,18 +1006,14 @@ class MemoryJournal(Journal):
             # Heal in the pass that found it, as the file journal does: an
             # append landing behind torn bytes would be mid-log corruption.
             self._frames = [data[:valid_end]]
-            self._record_count = len(records)
+            self._records_in_log = len(records)
         self.skipped_trailing_records = torn
         return records
 
     def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
         self.drain()
         self._frames = [self.codec.encode_record(record) for record in records]
-        self._record_count = len(self._frames)
-
-    def size(self) -> int:
-        """Number of logical records currently in the log."""
-        return self._record_count
+        self._records_in_log = len(self._frames)
 
 
 class FileJournal(Journal):
@@ -1099,7 +1103,7 @@ class FileJournal(Journal):
         self._scanned_bytes = valid_end
         return records
 
-    def _write_serialized(self, frames: List[bytes], record_count: int) -> int:
+    def _write_serialized(self, frames: List[bytes]) -> int:
         buf = b"".join(frames)
         try:
             self._fh.write(buf)
@@ -1108,7 +1112,6 @@ class FileJournal(Journal):
                 os.fsync(self._fh.fileno())
         except (OSError, ValueError) as exc:
             raise PersistenceError(f"journal append failed: {exc}") from exc
-        self._records_in_log += record_count
         return len(buf)
 
     def sync(self) -> None:
@@ -1165,10 +1168,6 @@ class FileJournal(Journal):
         self._opened = None
         # The rewritten log no longer contains the healed torn tail.
         self._healed_trailing_records = 0
-
-    def size(self) -> int:
-        """Number of logical records currently in the live log."""
-        return self._records_in_log
 
 
 # ---------------------------------------------------------------------------

@@ -142,15 +142,17 @@ class MessageQueue:
         #: Count of visible (unlocked) entries, maintained on every
         #: put/get/lock/unlock so :meth:`depth` never scans the list.
         self._visible = 0
-        #: Earliest expiry among **unlocked** stored messages, or ``None``
-        #: when nothing visible can expire.  The per-access expiry sweep
-        #: skips scanning until the clock passes this watermark (the
-        #: common case on hot paths).  Locked entries are excluded — the
-        #: sweep cannot remove them, so keeping a locked-but-expired
-        #: message in the watermark would force a full no-op scan on every
-        #: access for as long as the lock is held.  Removal paths recompute
-        #: the minimum whenever the departing message could be the one
-        #: holding the watermark down.
+        #: A lower bound on the earliest expiry among **unlocked** stored
+        #: messages, or ``None`` when nothing visible can expire.  The
+        #: per-access expiry sweep skips scanning until the clock passes
+        #: this watermark (the common case on hot paths).  Puts pull it
+        #: down; a get or a lock leaves it where it is — recomputing the
+        #: minimum there would cost a pass over the queue per get — so it
+        #: can be stale-low, which costs one sweep that removes nothing
+        #: when the clock passes it, and that sweep makes it exact again.
+        #: Locked entries never feed it — the sweep cannot remove them, so
+        #: a locked-but-expired message in the watermark would force a
+        #: full no-op scan on every access for as long as the lock is held.
         self._next_expiry_ms: Optional[int] = None
         self._on_expired = on_expired
         self._put_listeners: List[Callable[[Message], None]] = []
@@ -273,6 +275,12 @@ class MessageQueue:
             _Entry((-m.priority, next(self._seq)), m.copy(put_time_ms=now))
             for m in messages
         ]
+        # Returned, indexed and announced in call order, as successive
+        # puts would; only the stored order follows priority.
+        stored_batch = [entry.message for entry in new_entries]
+        for entry in new_entries:
+            self._index(entry)
+            self._expiry_added(entry.message)
         new_entries.sort()
         if not self._entries or self._entries[-1].sort_key <= new_entries[0].sort_key:
             self._entries.extend(new_entries)
@@ -281,15 +289,11 @@ class MessageQueue:
             self._entries.extend(new_entries)
             self._entries.sort()
         self._visible += len(new_entries)
-        for entry in new_entries:
-            self._index(entry)
-            self._expiry_added(entry.message)
         self.stats.puts += len(new_entries)
         self.stats.high_water_depth = max(
             self.stats.high_water_depth, len(self._entries)
         )
         self._note_depth()
-        stored_batch = [entry.message for entry in new_entries]
         if notify:
             for stored in stored_batch:
                 self.notify_put(stored)
@@ -342,7 +346,6 @@ class MessageQueue:
             entry.locked_by = lock_owner
             self._locked.setdefault(lock_owner, []).append(entry)
         self._visible -= 1
-        self._expiry_removed(entry.message)
 
     def _position(self, entry: _Entry) -> int:
         """Index of a stored entry in ``_entries``.
@@ -463,11 +466,11 @@ class MessageQueue:
     def commit_locked(self, lock_owner: str) -> List[Message]:
         """Destroy all messages locked by ``lock_owner``; returns them.
 
-        Locked entries were already dropped from the visible count and
-        the expiry watermark when they were locked, so destroying them
-        needs no further bookkeeping.  Each is found by bisection and
-        contiguous runs leave in one slice, so the cost follows the
-        transaction's size, not the queue's depth.
+        Locked entries were already dropped from the visible count when
+        they were locked, so destroying them needs no further
+        bookkeeping.  Each is found by bisection and contiguous runs leave
+        in one slice, so the cost follows the transaction's size, not the
+        queue's depth.
         """
         doomed = sorted(self._locked.pop(lock_owner, ()))
         entries = self._entries
@@ -620,30 +623,6 @@ class MessageQueue:
             self._next_expiry_ms is None or expiry < self._next_expiry_ms
         ):
             self._next_expiry_ms = expiry
-
-    def _expiry_removed(self, message: Message) -> None:
-        """A message left the visible set (removed or locked).
-
-        If its expiry is at (or below) the watermark it may be the one
-        holding it down, so recompute the minimum over the remaining
-        unlocked entries — otherwise a stale watermark keeps triggering
-        no-op sweep scans on every access after the deadline passes.
-        """
-        if (
-            self._next_expiry_ms is not None
-            and message.expiry_ms is not None
-            and message.expiry_ms <= self._next_expiry_ms
-        ):
-            next_expiry: Optional[int] = None
-            for entry in self._entries:
-                if entry.locked_by is not None:
-                    continue
-                expiry = entry.message.expiry_ms
-                if expiry is not None and (
-                    next_expiry is None or expiry < next_expiry
-                ):
-                    next_expiry = expiry
-            self._next_expiry_ms = next_expiry
 
     def _sweep_expired(self) -> None:
         if self._next_expiry_ms is None:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import pickle
 import sqlite3
 from contextlib import contextmanager
 from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
@@ -51,7 +50,9 @@ from repro.mq.message import Message
 from repro.mq.persistence import (
     _check_sync_policy,
     decode_message,
+    dump_data,
     encode_message,
+    load_data,
 )
 from repro.mq.queue import DEFAULT_MAX_DEPTH, QueueStats
 from repro.mq.selectors import Selector
@@ -215,19 +216,18 @@ def _index_rows(properties: Dict[str, Any]) -> List[Tuple[str, str, Any, Any]]:
 
 
 def _encode(message: Message) -> str:
-    """Full message for the ``encoded`` column (JSON, pickle fallback)."""
+    """Full message for the ``encoded`` column (JSON, data-only pickle fallback)."""
     record = encode_message(message)
     try:
         return json.dumps(record)
     except (TypeError, ValueError):
-        # Exotic property values (the body is already made JSON-safe by
-        # encode_message); fall back to an opaque pickled record.
-        return "P" + base64.b64encode(pickle.dumps(record)).decode("ascii")
+        # Exotic header values (encode_message made the body JSON-safe).
+        return "P" + base64.b64encode(dump_data(record)).decode("ascii")
 
 
 def _decode(encoded: str) -> Message:
     if encoded.startswith("P"):
-        record = pickle.loads(base64.b64decode(encoded[1:]))
+        record = load_data(base64.b64decode(encoded[1:]))
     else:
         record = json.loads(encoded)
     return decode_message(record)

@@ -92,6 +92,29 @@ class TestGating:
         )
         assert main(["--gate", f"{base}:{curr}"]) == 1
 
+    def test_counts_are_gated_at_zero_tolerance_upward(self, tmp_path):
+        def rows(bytes_per_send, records_per_send=17, rate=100.0):
+            return {"backends": [{
+                "backend": "binfile", "flushes_per_sec": rate,
+                "bytes_per_send": bytes_per_send, "records_per_send": records_per_send,
+            }]}
+
+        base = write(tmp_path / "b.json", rows(5000))
+        same = write(tmp_path / "same.json", rows(5000, rate=90.0))
+        one_more_byte = write(tmp_path / "byte.json", rows(5001, rate=400.0))
+        one_more_record = write(tmp_path / "record.json", rows(5000, 18))
+        fewer = write(tmp_path / "fewer.json", rows(2000))
+        no_counts = write(tmp_path / "none.json", {
+            "backends": [{"backend": "binfile", "flushes_per_sec": 100.0}]
+        })
+        assert main(["--gate", f"{base}:{same}"]) == 0
+        # Not even a loose rate tolerance (or a faster run) buys a byte.
+        assert main(["--gate", f"{base}:{one_more_byte}:0.9"]) == 1
+        assert main(["--gate", f"{base}:{one_more_record}"]) == 1
+        assert main(["--gate", f"{base}:{fewer}"]) == 0
+        assert main(["--gate", f"{base}:{no_counts}"]) == 1  # a count went missing
+        assert main(["--gate", f"{no_counts}:{base}"]) == 0  # an older baseline
+
     def test_missing_metric_in_current_fails(self, tmp_path):
         base = write(
             tmp_path / "b.json",

@@ -1,20 +1,30 @@
-"""The binary journal record codec and format-auto-detecting recovery.
+"""The binary journal codec and format-auto-detecting recovery.
 
-``codec="binary"`` writes length-prefixed CRC-checked pickle frames
-instead of JSON lines.  Reading always dispatches per frame on the
+``codec="binary"`` writes one ``magic | length | CRC-32 | payload`` frame
+per commit group; the payload is the group's records, data-only pickles
+written through one memo.  Reading always dispatches per frame on the
 first byte, so JSON and binary content coexist in one journal — the
 migration story is "switch the codec, keep the log".  These tests pin:
 
-* round-trips, including non-JSON-safe bodies stored natively;
-* mixed-format journals (JSON log appended to under the binary codec);
-* torn-tail healing of binary frames and group-frame atomicity;
-* CRC rejection of mid-file corruption;
+* round-trips, including bodies JSON cannot express, and the refusal of
+  anything that is not plain data — at the put, on both sides of a batch;
+* one frame per commit group, every shared payload written once;
+* frames written by earlier versions (one pickled dict per frame, groups
+  of member frames) still replay; mixed-format journals;
+* torn-tail healing and group atomicity at every byte offset, CRC
+  rejection of mid-file corruption, and a fuzzed scan that only ever
+  yields records or ``PersistenceError``;
 * the ``binfile:`` backend URL and the ``?codec=`` query.
 """
 
 import os
+import pickle
+import struct
+import zlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import PersistenceError
 from repro.mq.manager import QueueManager
@@ -23,13 +33,27 @@ from repro.mq.persistence import (
     BinaryRecordCodec,
     FileJournal,
     JsonLinesCodec,
+    MemoryJournal,
+    _scan_journal,
     journal_for,
 )
 from repro.sim.clock import SimulatedClock
+from tests.test_mq_stores import PWNED, Exploit  # the canary: a pickle that calls home
+
+HEADER = struct.Struct("<BII")
+RUN, GROUP = 0xB1, 0xB2
 
 
 def record(n, body=None):
     return {"op": "put", "queue": "Q", "message": {"n": n, "body": body}}
+
+
+def frame(magic, payload):
+    return HEADER.pack(magic, len(payload), zlib.crc32(payload)) + payload
+
+
+class NotData:
+    """Picklable by reference — and refused all the same."""
 
 
 def test_binary_round_trip(tmp_path):
@@ -44,15 +68,16 @@ def test_binary_round_trip(tmp_path):
 
 
 def test_binary_codec_stores_non_json_bodies_natively(tmp_path):
-    # The binary codec pickles frames wholesale, so message bodies that
-    # JSON cannot express ride through without a pickle+base64 detour.
+    # Frames are data-only pickles, so bodies JSON cannot express ride
+    # through as they are, types intact.
     path = str(tmp_path / "j.bin")
     journal = FileJournal(path, codec="binary")
-    body = {"blob": b"\x00\xffdata", "pair": (1, 2), "tags": {"a", "b"}}
+    body = {"blob": b"\x00\xffdata", "pair": (1, 2), "tags": {"a", "b"}, 7: None}
     journal.append(record(1, body=body))
     journal.close()
     reopened = FileJournal(path, codec="binary")
-    assert reopened.read_all()[0]["message"]["body"] == body
+    restored = reopened.read_all()[0]["message"]["body"]
+    assert restored == body and type(restored["pair"]) is tuple
     reopened.close()
 
 
@@ -70,6 +95,75 @@ def test_manager_recovery_round_trips_under_binary_codec(tmp_path):
     assert recovered.depth("APP.Q") == 2
     assert recovered.get("APP.Q").body == {"raw": b"\x01\x02"}
     assert recovered.get("APP.Q").body == "plain"
+
+
+def test_every_message_field_survives_the_positional_row():
+    # Trailing default fields are dropped from a put row; a message that
+    # sets every one of them, and one that sets none, both come back whole.
+    clock = SimulatedClock()
+    journal = MemoryJournal(codec="binary")
+    manager = QueueManager("QM.A", clock, journal=journal)
+    manager.define_queue("APP.Q")
+    full = Message(
+        body=[1], correlation_id="c", properties={"p": 1.5, "q": "s", "r": True},
+        priority=9, expiry_ms=10**9, reply_to_manager="QM.X", reply_to_queue="R.Q",
+        backout_count=3, source_manager="QM.SRC",
+    )
+    manager.put("APP.Q", full)
+    manager.put("APP.Q", Message(body=None))
+    expected = [vars(m) for m in manager.browse("APP.Q")]
+    recovered = QueueManager.recover("QM.A", clock, journal)
+    assert [vars(m) for m in recovered.browse("APP.Q")] == expected
+
+
+def test_a_commit_group_is_one_frame_and_shares_what_its_records_share():
+    journal = MemoryJournal(codec="binary")
+    body = "BODY-MARKER-" + "x" * 500
+    original = Message(body=body, correlation_id="CMID-MARKER")
+    with journal.batch():
+        for n in range(8):
+            journal.log_put(f"Q.{n}", original.with_properties(dest=n))
+        journal.log_get("Q.0", original.message_id)
+    (written,) = journal._frames
+    magic, length, crc = HEADER.unpack_from(written)
+    assert magic == RUN and length == len(written) - HEADER.size
+    assert zlib.crc32(written[HEADER.size:]) == crc
+    assert written.count(b"BODY-MARKER") == 1
+    assert written.count(b"CMID-MARKER") == 1
+    assert written.count(original.message_id.encode()) == 1
+    assert (journal.flush_count, journal.records_written, journal.size()) == (1, 9, 9)
+    restored = journal.read_all()
+    assert [r["op"] for r in restored] == ["put"] * 8 + ["get"]
+    assert [r["message"]["properties"]["dest"] for r in restored[:8]] == list(range(8))
+    assert all(r["message"]["body"]["data"] == body for r in restored[:8])
+    # A group of one is the same frame, and a later group starts a new memo.
+    journal.log_put("Q.0", original)
+    assert journal._frames[1][0] == RUN and journal._frames[1].count(b"BODY-MARKER") == 1
+
+
+def test_frames_written_by_earlier_versions_still_replay(tmp_path):
+    # Before the commit group became the unit of encoding a frame held one
+    # pickled dict, bodies wrapped as {"kind": "raw"}, and a group frame's
+    # payload was member frames.  All plain data, so the loader reads it.
+    def old_put(n):
+        message = {"message_id": f"m{n}", "body": {"kind": "raw", "data": (n, b"\x00")},
+                   "properties": {}, "priority": 4, "delivery_mode": "persistent",
+                   "expiry_ms": None, "put_time_ms": 5}
+        return frame(RUN, pickle.dumps({"op": "put", "queue": "A.Q", "message": message}, 5))
+
+    path = str(tmp_path / "old.journal")
+    with open(path, "wb") as handle:
+        handle.write(frame(RUN, pickle.dumps({"op": "define", "queue": "A.Q"}, 5)))
+        handle.write(old_put(1))
+        handle.write(frame(GROUP, old_put(2) + old_put(3)))
+    clock = SimulatedClock()
+    recovered = QueueManager.recover("QM.A", clock, FileJournal(path, codec="binary"))
+    assert [m.body for m in recovered.browse("A.Q")] == [(n, b"\x00") for n in (1, 2, 3)]
+    recovered.put("A.Q", Message(body=4))  # ...and the log takes new frames
+    recovered.journal.close()
+    again = QueueManager.recover("QM.A", clock, FileJournal(path, codec="binary"))
+    assert [m.body for m in again.browse("A.Q")][-1] == 4
+    again.journal.close()
 
 
 def test_mixed_json_and_binary_content_in_one_journal(tmp_path):
@@ -106,22 +200,40 @@ def test_torn_binary_tail_heals_at_open(tmp_path):
     healed.close()
 
 
-def test_torn_group_frame_drops_the_whole_group(tmp_path):
-    # A group is one physical frame: a tear anywhere inside drops every
-    # member, never a prefix.
+@pytest.mark.parametrize("coalesced", [False, True], ids=["one run", "group of runs"])
+def test_a_group_torn_at_any_byte_replays_whole_or_not_at_all(tmp_path, coalesced):
+    # A group is one physical frame: cut it anywhere and recovery sees all
+    # of its records or none, truncates the torn bytes once, and the next
+    # append lands on a clean log.
+    staging = MemoryJournal(codec="binary")
+    staging.append(record(0))
+    with staging.batch():
+        staging.append(record(1, body="shared"))
+        if coalesced:  # a refused put closes the run; the group goes on
+            with pytest.raises(PersistenceError):
+                staging.append(record(-1, body=NotData()))
+        staging.append_many([record(2, body="shared"), record(3)])
+    first, group = staging._frames
+    assert group[0] == (GROUP if coalesced else RUN)
     path = str(tmp_path / "j.bin")
-    journal = FileJournal(path, codec="binary")
-    journal.append(record(1))
-    journal.close()
-    codec = BinaryRecordCodec()
-    group = codec.wrap_group(
-        [codec.encode_record(record(2)), codec.encode_record(record(3))]
-    )
-    with open(path, "ab") as handle:
-        handle.write(group[:-2])
-    healed = FileJournal(path, codec="binary")
-    assert [r["message"]["n"] for r in healed.read_all()] == [1]
-    healed.close()
+    for cut in range(len(group) + 1):
+        with open(path, "wb") as handle:
+            handle.write(first + group[:cut])
+        journal = FileJournal(path, codec="binary")
+        whole = cut == len(group)
+        torn = 0 < cut < len(group)
+        assert [r["message"]["n"] for r in journal.read_all()] == (
+            [0, 1, 2, 3] if whole else [0]
+        ), cut
+        assert journal.skipped_trailing_records == int(torn), cut
+        assert os.path.getsize(path) == len(first) + (len(group) if whole else 0)
+        journal.append(record(9))
+        assert journal.read_all()[-1]["message"]["n"] == 9
+        journal.close()
+        reopened = FileJournal(path, codec="binary")
+        assert reopened.skipped_trailing_records == 0, cut  # healed once
+        assert reopened.size() == (5 if whole else 2)
+        reopened.close()
 
 
 def test_crc_mismatch_mid_file_is_rejected(tmp_path):
@@ -138,6 +250,20 @@ def test_crc_mismatch_mid_file_is_rejected(tmp_path):
         handle.write(bytes(data))
     with pytest.raises(PersistenceError):
         FileJournal(path, codec="binary").read_all()
+
+
+def test_group_frame_holds_run_frames_and_nothing_else():
+    run = BinaryRecordCodec().encode_record(record(1))
+    for payload in (
+        run + b'{"op": "define", "queue": "Q"}\n',  # a JSON line inside
+        frame(GROUP, run),                           # a group inside a group
+        run[:-1],                                    # a member cut short
+        run + b"\x00",                               # trailing garbage
+    ):
+        with pytest.raises(PersistenceError):
+            _scan_journal(frame(GROUP, payload) + run, "<test>")
+    records, valid_end, torn = _scan_journal(frame(GROUP, run + run), "<test>")
+    assert (len(records), torn) == (2, 0)
 
 
 def test_binfile_url_and_codec_query(tmp_path):
@@ -160,12 +286,124 @@ def test_binfile_url_and_codec_query(tmp_path):
         journal_for(f"file:{query_path}?codec=nonesuch")
 
 
-def test_binary_codec_rejects_unpicklable_records(tmp_path):
+def test_binary_codec_refuses_what_is_not_data(tmp_path):
     path = str(tmp_path / "j.bin")
     journal = FileJournal(path, codec="binary")
-    with pytest.raises(PersistenceError):
-        journal.append(
-            {"op": "put", "queue": "Q", "message": {"bad": lambda: None}}
-        )
+    for bad in (lambda: None, NotData(), NotData, 3 + 4j):
+        with pytest.raises(PersistenceError):
+            journal.append({"op": "put", "queue": "Q", "message": {"bad": bad}})
+        with pytest.raises(PersistenceError):
+            journal.append_many([record(1), record(2, body=bad)])
     journal.close()
     assert os.path.getsize(path) == 0  # nothing was written
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_refusal_inside_a_group_is_at_the_put_and_costs_the_group_nothing(codec):
+    clock = SimulatedClock()
+    journal = MemoryJournal(codec=codec)
+    manager = QueueManager("QM.A", clock, journal=journal)
+    manager.define_queue("A.Q")
+    shared = {"payload": "x" * 64}
+    flushes = journal.flush_count
+    with manager.group_commit():
+        manager.put("A.Q", Message(body=shared))
+        with pytest.raises(PersistenceError):
+            manager.put("A.Q", Message(body=NotData()))  # raises here, not at exit
+        with pytest.raises(PersistenceError):
+            journal.log_put_many(  # none of the call joins the group
+                [("A.Q", Message(body="good")), ("A.Q", Message(body=NotData()))]
+            )
+        manager.put("A.Q", Message(body=shared))
+        manager.put("A.Q", Message(body="last"))
+    assert journal.flush_count - flushes == 1
+    assert len(journal._frames) == 2  # the define, then ONE physical group
+    ops = [(r["op"], r["queue"]) for r in journal.read_all()]
+    assert ops == [("define", "A.Q")] + [("put", "A.Q")] * 3
+    journal._frames[-1] = journal._frames[-1][:-1]  # tear it: all or nothing
+    assert [r["op"] for r in journal.read_all()] == ["define"]
+
+
+def test_encode_record_is_a_finished_frame_and_leaves_an_open_group_alone():
+    journal = MemoryJournal(codec="binary")
+    with journal.batch():
+        journal.append(record(1))
+        standalone = journal.codec.encode_record(record(99))
+        journal.append(record(2))
+    records, _end, torn = _scan_journal(standalone, "<test>")
+    assert [r["message"]["n"] for r in records] == [99] and not torn
+    assert [r["message"]["n"] for r in journal.read_all()] == [1, 2]
+
+
+# -- every decoder of external bytes: records or a typed error, nothing else ---
+
+
+def valid_mixed_log():
+    clock = SimulatedClock()
+    journal = MemoryJournal(codec="json")
+    manager = QueueManager("QM.A", clock, journal=journal)
+    manager.define_queue("A.Q")
+    manager.put("A.Q", Message(body={"json": [1, 2]}))
+    with manager.group_commit():
+        manager.put("A.Q", Message(body=(1, b"\x00")))
+        manager.put("A.Q", Message(body="two"))
+    binary = MemoryJournal(codec="binary")
+    binary._frames = journal._frames
+    manager.journal = binary
+    shared = "s" * 40
+    manager.put("A.Q", Message(body=shared))
+    with manager.group_commit():
+        for n in range(3):
+            manager.put("A.Q", Message(body=shared, properties={"n": n}))
+        manager.get("A.Q")
+    old = pickle.dumps({"op": "define", "queue": "B.Q"}, 5)
+    binary._frames.append(frame(GROUP, frame(RUN, old) + frame(RUN, old)))
+    return b"".join(binary._frames)
+
+
+MIXED_LOG = valid_mixed_log()
+#: a frame with a valid CRC over a pickle that names (and would call) ``pwn``
+EXPLOIT_FRAME = frame(RUN, pickle.dumps(Exploit()))
+positions = st.integers(min_value=0, max_value=len(MIXED_LOG))
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), positions, st.integers(min_value=1, max_value=255)),
+        st.tuples(st.just("cut"), positions),
+        st.tuples(st.just("splice"), positions, positions, positions),
+        st.tuples(st.just("insert"), positions, st.binary(max_size=12)),
+        st.tuples(st.just("insert"), positions, st.just(EXPLOIT_FRAME)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def test_the_unmutated_mixed_log_scans_clean():
+    records, valid_end, torn = _scan_journal(MIXED_LOG, "<fuzz>")
+    assert (len(records), valid_end, torn) == (11, len(MIXED_LOG), 0)
+    with pytest.raises(PersistenceError):
+        _scan_journal(MIXED_LOG + EXPLOIT_FRAME, "<fuzz>")
+    assert pickle.loads(pickle.dumps(Exploit())) is None and PWNED.pop() == "unpickled"
+
+
+@settings(max_examples=400, deadline=1000)
+@given(mutations, st.booleans())
+def test_scanning_mutated_bytes_gives_records_or_persistence_error(ops, strict):
+    data = bytearray(MIXED_LOG)
+    for op in ops:
+        if op[0] == "flip" and data:
+            data[op[1] % len(data)] ^= op[2]
+        elif op[0] == "cut":
+            del data[op[1]:]
+        elif op[0] == "splice":
+            data[op[1]:op[1]] = data[min(op[2], op[3]):max(op[2], op[3])]
+        elif op[0] == "insert":
+            data[op[1]:op[1]] = op[2]
+    try:
+        records, valid_end, torn = _scan_journal(bytes(data), "<fuzz>", strict)
+    except PersistenceError:
+        records = []
+    else:
+        assert 0 <= valid_end <= len(data) and torn in (0, 1)
+    assert all(isinstance(r, dict) for r in records)
+    assert PWNED == []  # no global was resolved, let alone called

@@ -17,7 +17,15 @@ from repro.mq.persistence import (
 )
 
 
+class NotData:
+    """Picklable by reference, and still not something a journal carries."""
+
+
 class TestBodyCodec:
+    """JSON documents carry a body natively when JSON returns it unchanged,
+    as a base64 data-only pickle when it is other plain data, and not at
+    all when it is anything else."""
+
     @pytest.mark.parametrize(
         "body",
         [None, 42, 1.5, "text", [1, 2, 3], {"nested": {"ok": True}}],
@@ -28,46 +36,52 @@ class TestBodyCodec:
     def test_json_bodies_stored_natively(self):
         assert encode_body({"a": 1})["kind"] == "json"
 
-    def test_non_json_bodies_pickled(self):
-        body = frozenset({1, 2})
+    @pytest.mark.parametrize(
+        "body",
+        [
+            frozenset({1, 2}),
+            (1, 2),                           # JSON would hand back a list
+            b"\x00\xff",
+            {1: "one"},                       # JSON would hand back {"1": ...}
+            {"outer": [1, {"inner": {1, 2}}]},  # the probe walks containers
+        ],
+    )
+    def test_data_json_cannot_return_unchanged_is_pickled_data_only(self, body):
         record = encode_body(body)
         assert record["kind"] == "pickle"
-        assert decode_body(record) == body
+        decoded = decode_body(record)
+        assert decoded == body and type(decoded) is type(body)
 
-    def test_unjournalable_body_raises(self):
-        with pytest.raises(PersistenceError):
-            encode_body(lambda: None)
+    @pytest.mark.parametrize("body", [lambda: None, NotData(), NotData, {"in": [NotData()]}])
+    def test_what_is_not_data_is_refused(self, body):
+        with pytest.raises(PersistenceError, match="not journalable"):
+            encode_body(body)
+
+    def test_pickle_labelled_body_naming_a_global_is_refused_unread(self):
+        import base64
+        import pickle
+
+        blob = base64.b64encode(pickle.dumps(NotData())).decode("ascii")
+        with pytest.raises(PersistenceError, match="names a global"):
+            decode_body({"kind": "pickle", "data": blob})
 
     def test_unknown_encoding_rejected(self):
         with pytest.raises(PersistenceError):
             decode_body({"kind": "alien", "data": ""})
 
-    def test_probe_catches_non_json_nested_values(self):
-        # The structural probe must walk containers: a JSON-looking dict
-        # hiding a non-JSON leaf goes down the pickle path.
-        body = {"outer": [1, {"inner": {1, 2}}]}
-        record = encode_body(body)
-        assert record["kind"] == "pickle"
-        assert decode_body(record) == body
-
-    def test_probe_rejects_non_string_dict_keys(self):
-        # json.dumps coerces int keys to strings, which would corrupt the
-        # body on decode; such bodies must be pickled instead.
-        body = {1: "one"}
-        record = encode_body(body)
-        assert record["kind"] == "pickle"
-        assert decode_body(record) == body
-
     def test_probe_handles_circular_structures(self):
         # json.dumps raises ValueError on cycles; the probe must detect
-        # them (not recurse forever) and fall through to pickle, which
-        # also fails -- so this is an unjournalable body.
+        # them (not recurse forever) and fall through to the data-only
+        # pickle, which handles cycles fine.
         body = []
         body.append(body)
-        record = encode_body(body)  # pickle handles cycles fine
+        record = encode_body(body)
         assert record["kind"] == "pickle"
         decoded = decode_body(record)
         assert decoded[0] is decoded
+        looped = {}
+        looped["self"] = looped
+        assert encode_body(looped)["kind"] == "pickle"
 
     def test_probe_allows_shared_but_acyclic_substructure(self):
         # The same sub-list referenced twice is NOT a cycle; it must stay

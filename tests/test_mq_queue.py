@@ -283,24 +283,30 @@ class TestIncrementalBookkeeping:
         queue.purge()
         assert queue._visible == 0 and queue.is_empty()
 
-    def test_watermark_lowers_after_commit_locked(self, queue, clock):
+    # A removal leaves the watermark where it is (recomputing it there
+    # would cost a pass over the queue per get); the one sweep that runs
+    # when the clock passes a stale watermark removes nothing and makes
+    # it exact again, so later accesses skip the scan.
+
+    def test_watermark_clears_after_commit_locked(self, queue, clock):
         queue.put(Message(body="expiring", expiry_ms=clock.now_ms() + 10))
         put_bodies(queue, "forever")
         queue.get(lock_owner="tx1")  # locks the expiring message
         queue.commit_locked("tx1")   # ...and destroys it
-        # The only expiring message is gone; the watermark must clear so
-        # later accesses skip the sweep scan entirely.
-        assert queue._next_expiry_ms is None
         clock.advance(20)
-        assert queue.depth() == 1  # no sweep needed, nothing expired
+        assert queue.depth() == 1  # the only expiring message is gone
+        assert queue._next_expiry_ms is None
+        assert queue.stats.expired == 0
 
     def test_watermark_recomputed_after_remove_locked(self, queue, clock):
         soon = queue.put(Message(body="soon", expiry_ms=clock.now_ms() + 10))
-        queue.put(Message(body="later", expiry_ms=clock.now_ms() + 1000))
+        later = queue.put(Message(body="later", expiry_ms=clock.now_ms() + 1000))
         queue.get_by_id(soon.message_id, lock_owner="tx1")
         queue.remove_locked("tx1", soon.message_id)
+        clock.advance(20)
+        assert queue.depth() == 1
         # The nearest deadline left is the "later" message.
-        assert queue._next_expiry_ms == clock.now_ms() + 1000
+        assert queue._next_expiry_ms == later.expiry_ms
 
     def test_watermark_cleared_by_purge(self, queue, clock):
         queue.put(Message(body="x", expiry_ms=clock.now_ms() + 10))
@@ -311,8 +317,8 @@ class TestIncrementalBookkeeping:
         # After removing the only expiring message, advancing past its
         # old deadline must not dead-letter anything or flip stats.
         queue.put(Message(body="x", expiry_ms=clock.now_ms() + 10))
-        queue.get()  # destructive removal recomputes the watermark
-        assert queue._next_expiry_ms is None
+        queue.get()
         clock.advance(100)
         assert queue.depth() == 0
         assert queue.stats.expired == 0
+        assert queue._next_expiry_ms is None

@@ -140,11 +140,20 @@ class TestQueueParity:
         assert queue.depth() == 4  # restored entries are unlocked
 
     def test_body_roundtrip_including_non_json(self, store, clock):
+        # The rule of every scheme (tests/test_mq_stores.py::TestClosedValueSet):
+        # plain data round-trips with its types, anything else is refused
+        # at the put.
         queue = SqlMessageQueue(store, "Q", clock)
-        queue.put(Message(body={"nested": [1, "two", None]}))
-        queue.put(Message(body=frozenset({1, 2})))  # pickled body
-        assert queue.get().body == {"nested": [1, "two", None]}
-        assert queue.get().body == frozenset({1, 2})
+        bodies = [{"nested": [1, "two", None]}, frozenset({1, 2}), (1, b"\x00"), {1: "one"}]
+        for body in bodies:
+            queue.put(Message(body=body))
+        restored = [queue.get().body for _ in bodies]
+        assert restored == bodies
+        assert [type(b) for b in restored] == [type(b) for b in bodies]
+        for not_data in (object(), lambda: None):
+            with pytest.raises(PersistenceError):
+                queue.put(Message(body=not_data))
+        assert queue.total_depth() == 0
 
     def test_validation_mirrors_linear_queue(self, store, clock):
         with pytest.raises(MQError):

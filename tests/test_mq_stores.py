@@ -3,6 +3,13 @@ scheme of ``JOURNAL_SCHEMES`` passes, URL parsing (`journal_for` /
 `journal_factory_for`), and post-commit hook lifetime across aborted
 commit groups."""
 
+import base64
+import json
+import pickle
+import sqlite3
+import struct
+import zlib
+
 import pytest
 
 from repro.errors import PersistenceError
@@ -166,6 +173,126 @@ class TestStoreConformance:
             store.sync()
         store.close()
         store.close()  # second close must not raise
+
+
+class Opaque:
+    """Picklable, and exactly what a journal must not carry: not data."""
+
+
+#: what a body may be built from — each comes back equal, with its type
+DATA_BODIES = [
+    (1, ("two", None)),
+    {1, 2},
+    frozenset({"a"}),
+    b"\x00\xffraw",
+    {1: "one", (2, 3): [4.5, True]},
+    {"blob": bytearray(b"b"), "pair": (1, 2), "tags": {"a", "b"}, "n": 1 << 70},
+]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestClosedValueSet:
+    """One rule on every scheme: a body built from dict / list / tuple /
+    set / str / bytes / numbers / bool / None round-trips; anything else
+    is refused at the put, before anything is written."""
+
+    def test_data_only_bodies_round_trip_with_their_types(self, scheme, clock, tmp_path):
+        manager = QueueManager("QM.S", clock, journal=open_store(scheme, tmp_path))
+        manager.define_queue("A.Q")
+        for body in DATA_BODIES:
+            manager.put("A.Q", Message(body=body))
+        recovered = restart(scheme, tmp_path, clock, manager)
+        restored = [m.body for m in recovered.browse("A.Q")]
+        assert restored == DATA_BODIES
+        assert [type(b) for b in restored] == [type(b) for b in DATA_BODIES]
+        assert type(restored[0][1]) is tuple and type(restored[5]["pair"]) is tuple
+        durable(recovered).close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [Opaque(), Opaque, lambda: None, DeliveryMode.PERSISTENT, {"deep": [Opaque()]}],
+        ids=["instance", "class", "lambda", "enum", "nested instance"],
+    )
+    def test_what_is_not_data_is_refused_at_the_put(self, scheme, body, clock, tmp_path):
+        store = open_store(scheme, tmp_path)
+        manager = QueueManager("QM.S", clock, journal=store)
+        manager.define_queue("A.Q")
+        manager.put("A.Q", Message(body="kept"))
+        written = (store.records_written, store.flush_count)
+        with pytest.raises(PersistenceError):
+            manager.put("A.Q", Message(body=body))
+        assert (store.records_written, store.flush_count) == written
+        manager.put("A.Q", Message(body="and the store still works"))
+        recovered = restart(scheme, tmp_path, clock, manager)
+        assert [m.body for m in recovered.browse("A.Q")] == [
+            "kept", "and the store still works"
+        ]
+        durable(recovered).close()
+
+
+#: appended to when (and only when) something unpickles an :class:`Exploit`
+PWNED = []
+
+
+def pwn():
+    PWNED.append("unpickled")
+
+
+class Exploit:
+    def __reduce__(self):
+        return (pwn, ())  # by reference: a bound ``PWNED.append`` would pickle a copy
+
+
+class TestNoStoreCanMakeARestartRunCode:
+    """Whatever bytes a local store holds, reading them back resolves no
+    global and calls nothing (``tests/test_net_wire.py`` pins the same for
+    the wire): the tampered record is a ``PersistenceError``."""
+
+    def crashed(self, scheme, clock, tmp_path):
+        store = open_store(scheme, tmp_path)
+        manager = QueueManager("QM.S", clock, journal=store)
+        manager.define_queue("A.Q")
+        manager.put("A.Q", Message(body="honest"))
+        store.close()
+        del PWNED[:]
+        return store.path
+
+    def test_binfile_frame_with_a_valid_crc_over_a_global(self, clock, tmp_path):
+        path = self.crashed("binfile", clock, tmp_path)
+        payload = pickle.dumps(Exploit())
+        with open(path, "ab") as handle:
+            handle.write(struct.pack("<BII", 0xB1, len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+        with pytest.raises(PersistenceError):
+            QueueManager.recover("QM.S", clock, open_store("binfile", tmp_path))
+        assert PWNED == []
+
+    def test_file_line_with_a_pickle_labelled_body(self, clock, tmp_path):
+        path = self.crashed("file", clock, tmp_path)
+        blob = base64.b64encode(pickle.dumps(Exploit())).decode("ascii")
+        message = {"message_id": "m1", "body": {"kind": "pickle", "data": blob}}
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"op": "put", "queue": "A.Q", "message": message}))
+            handle.write("\n")
+        with pytest.raises(PersistenceError):
+            QueueManager.recover("QM.S", clock, open_store("file", tmp_path))
+        assert PWNED == []
+
+    def test_sqlstore_row_starting_with_p(self, clock, tmp_path):
+        path = self.crashed("sqlstore", clock, tmp_path)
+        blob = base64.b64encode(pickle.dumps(Exploit())).decode("ascii")
+        with sqlite3.connect(path) as con:
+            assert con.execute("UPDATE messages SET encoded = ?", ("P" + blob,)).rowcount == 1
+        con.close()
+        # Opening the database is the whole restart (rows are not replayed),
+        # so the refusal comes where the row is first read.
+        recovered = QueueManager.recover("QM.S", clock, open_store("sqlstore", tmp_path))
+        with pytest.raises(PersistenceError):
+            recovered.get("A.Q")
+        with pytest.raises(PersistenceError):
+            recovered.store.recover()
+        assert PWNED == []
+        recovered.store.close()
 
 
 @pytest.mark.parametrize("scheme", LOG_SCHEMES)

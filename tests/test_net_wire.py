@@ -110,9 +110,13 @@ class TestUnixRoundtrip:
 PWNED = []
 
 
+def _pwn():
+    PWNED.append("unpickled")
+
+
 class _Exploit:
     def __reduce__(self):
-        return (PWNED.append, ("unpickled",))
+        return (_pwn, ())  # by reference: a bound ``PWNED.append`` would pickle a copy
 
 
 class TestWireNeverUnpickles:

@@ -22,6 +22,7 @@ from repro.mq import persistence
 from repro.mq.manager import XMIT_PREFIX, QueueManager
 from repro.mq.message import Message
 from repro.mq.persistence import journal_factory_for
+from repro.mq.queue import MessageQueue
 from repro.sim.clock import SimulatedClock
 from repro.workloads.scenarios import Testbed
 
@@ -164,6 +165,84 @@ def test_visits_per_message_do_not_grow_with_history(visits):
     assert failure_round() == first
     assert bed.manager_of("R1").depth(RECEIVER_LOG_QUEUE) == 3_000
     assert bed.receiver("R2").stats.cancellations == 3_000
+
+
+def journal_totals(bed):
+    journals = bed.journals.values()
+    return (
+        sum(j.records_written for j in journals),
+        sum(j.flush_count for j in journals),
+        sum(j.bytes_written for j in journals),
+    )
+
+
+def test_a_fanout_send_writes_each_payload_once_on_a_binary_journal():
+    """The send group — 8 spooled copies, 8 staged compensations and the
+    sender-log entry, all carrying the same two application objects — is
+    one frame holding each object once; the logical records and flushes
+    of a whole conditional message are what they always were, and its
+    bytes stay under a pinned bound."""
+    bed = Testbed(
+        FANOUT8,
+        latency_ms=1,
+        journaled=True,
+        journal_factory=journal_factory_for("memory", codec="binary"),
+    )
+    condition = condition_for(bed, FANOUT8)
+
+    def conditional_message(marker):
+        cmid = bed.service.send_message(
+            {"text": f"BODY-{marker}" + "b" * 1000},
+            condition,
+            compensation={"undo": f"COMP-{marker}" + "c" * 1000},
+        )
+        bed.scheduler.run_for(2)
+        for name in FANOUT8:
+            assert read(bed, name).cmid == cmid
+        bed.run_all()
+        assert bed.service.outcome(cmid).outcome is MessageOutcome.SUCCESS
+        bed.service.poll_outcome_notifications()  # the sender drains DS.OUTCOME.Q
+
+    conditional_message("WARMUP")  # queue definitions and the like
+    sender_log = bed.journals[bed.SENDER]
+    frames_before = len(sender_log._frames)
+    records, flushes, nbytes = journal_totals(bed)
+    conditional_message("MARKER")
+    send_group = sender_log._frames[frames_before]
+    assert len(persistence._scan_journal(send_group, "<send group>")[0]) == 17
+    assert send_group.count(b"BODY-MARKER") == 1  # 8 before the shared memo
+    assert send_group.count(b"COMP-MARKER") == 1  # 8 before the shared memo
+    after = journal_totals(bed)
+    assert (after[0] - records, after[1] - flushes) == (76, 50)
+    # 2 KB of user payload; 24.2 KB measured (54.5 KB before): the send
+    # group plus one copy in each of the eight receivers' own journals.
+    assert after[2] - nbytes <= 25_500
+
+
+class WalkCountingList(list):
+    """A queue's entry list that counts every entry a walk over it yields."""
+
+    walked = 0
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.walked += 1
+            yield entry
+
+
+def test_a_get_does_not_walk_an_inbox_whose_messages_all_expire():
+    """A FIFO inbox where every message carries an expiry: each get takes
+    the message holding the earliest one, and must not answer that by
+    recomputing the minimum over everything left."""
+    walked = {}
+    for depth in (20, 2_000):
+        queue = MessageQueue("IN.Q", SimulatedClock())
+        for i in range(depth + 10):
+            queue.put(Message(body=i, expiry_ms=1_000_000 + i))
+        entries = queue._entries = WalkCountingList(queue._entries)
+        assert [queue.get().body for _ in range(10)] == list(range(10))
+        walked[depth] = entries.walked / 10
+    assert walked[2_000] == walked[20], walked
 
 
 @pytest.mark.parametrize("backend", ["memory", "binfile"])
