@@ -2,48 +2,32 @@
 
 Usage (what the CI benchmark-smoke job runs)::
 
-    cp BENCH_throughput.json /tmp/throughput.json     # committed baselines
-    cp BENCH_persistence.json /tmp/persistence.json
+    cp BENCH_persistence.json /tmp/persistence.json   # committed baselines
     cp BENCH_query.json /tmp/query.json
-    BENCH_SHORT=1 pytest benchmarks/test_throughput.py benchmarks/test_query.py
+    pytest benchmarks/test_persistence_backends.py
+    BENCH_SHORT=1 pytest benchmarks/test_query.py
     python benchmarks/check_bench_regression.py \
-        --gate /tmp/throughput.json:BENCH_throughput.json \
         --gate /tmp/persistence.json:BENCH_persistence.json \
-        --gate /tmp/query.json:BENCH_query.json
+        --gate /tmp/query.json:BENCH_query.json:0.5
 
-Each ``--gate baseline:current[:tolerance]`` pair is compared on the
-metrics the file carries (auto-detected from its shape):
+Each ``--gate baseline:current[:tolerance]`` pair is compared on what the
+file carries (auto-detected from its shape), and only on what does not
+depend on the machine — no wall-clock rate is gated:
 
-* ``BENCH_throughput.json`` — ``msgs_per_sec``, plus
-  ``multiprocess.speedup_vs_1`` (wire-transport process scaling at 4
-  receiver processes) when the file carries a ``multiprocess`` section;
-* ``BENCH_persistence.json`` — ``flushes_per_sec`` per journal backend
-  (each backend gated separately, so one backend regressing cannot hide
-  behind another improving), plus the exact ``records_per_send`` and
-  ``bytes_per_send`` of each backend;
+* ``BENCH_persistence.json`` — the exact ``records_per_send`` and
+  ``bytes_per_send`` of each store.  **Zero tolerance upward**, whatever
+  tolerance the gate was given: one more record or byte per send than the
+  committed baseline fails, fewer asks for the baseline to be refreshed.
 * ``BENCH_query.json`` — ``speedup_10k``, the worst selector-pushdown
   speedup over the linear scan at depth 10k;
 * ``BENCH_pubsub.json`` — ``speedup_10k_subs``, the subscription-trie
   matching speedup over the linear pattern scan at 10k subscriptions.
 
-The counts are machine-independent, so they are gated at **zero
-tolerance upward** whatever tolerance the gate was given: one more record
-or byte per send than the committed baseline fails, fewer asks for the
-baseline to be refreshed.  All other metrics are higher-is-better; a gate
-fails when the current value is
-more than ``tolerance`` (default 25%) below the baseline.  Wall-clock
-numbers on shared CI runners are noisy even with best-of-N reporting, so
-the tolerance is deliberately loose: the gate exists to catch real
-hot-path regressions (a lost optimization, an accidental per-message
-flush, a selector scan that stopped using the index), not 5% scheduling
-jitter.  Ratio metrics like ``speedup_10k`` divide out machine speed and
-are steadier than raw rates.
-
-Improvements never fail; the job log suggests refreshing the committed
-baseline when the current run is substantially faster.
-
-The legacy single-file interface (``--baseline``/``--current``
-[``--tolerance``]) is still accepted and behaves exactly as before.
+The two ratios divide machine speed out; they are higher-is-better and
+fail when the current value is more than ``tolerance`` (default 25%)
+below the baseline.  Improvements never fail; the job log suggests
+refreshing the committed baseline when the current run is substantially
+better.
 """
 
 import argparse
@@ -51,6 +35,11 @@ import json
 import sys
 
 DEFAULT_TOLERANCE = 0.25
+
+#: ratio metrics (higher is better), each the top-level key of its file
+RATIO_FIELDS = ("speedup_10k", "speedup_10k_subs")
+#: exact per-backend counts of ``BENCH_persistence.json`` (lower is better)
+COUNT_FIELDS = ("records_per_send", "bytes_per_send")
 
 
 def _load(path):
@@ -61,56 +50,18 @@ def _load(path):
         raise SystemExit(f"{path}: cannot read benchmark JSON ({exc})")
 
 
-def _positive(path, name, value):
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"{path}: no usable {name} field ({exc})")
-    if value <= 0:
-        raise SystemExit(f"{path}: non-positive {name} {value!r}")
-    return value
-
-
-def extract_metrics(path, data):
-    """name -> value (higher is better), auto-detected from the shape."""
-    if "msgs_per_sec" in data:
-        metrics = {
-            "msgs_per_sec": _positive(path, "msgs_per_sec", data["msgs_per_sec"])
-        }
-        if "multiprocess" in data:
-            # Process-scaling ratio (4-or-more receiver processes vs. 1
-            # over the wire transport).  A ratio, so machine speed
-            # divides out — but it does depend on the runner's core
-            # count, hence the looser tolerance the CI job passes.
-            metrics["multiprocess speedup_vs_1"] = _positive(
-                path,
-                "multiprocess speedup_vs_1",
-                data["multiprocess"].get("speedup_vs_1"),
-            )
-        return metrics
-    if "backends" in data:
-        metrics = {}
-        for entry in data["backends"]:
-            backend = entry.get("backend", "?")
-            metrics[f"{backend} flushes_per_sec"] = _positive(
-                path, f"{backend} flushes_per_sec", entry.get("flushes_per_sec")
-            )
-        if not metrics:
-            raise SystemExit(f"{path}: empty backends list")
-        return metrics
-    if "speedup_10k" in data:
-        return {"speedup_10k": _positive(path, "speedup_10k", data["speedup_10k"])}
-    if "speedup_10k_subs" in data:
-        return {
-            "speedup_10k_subs": _positive(
-                path, "speedup_10k_subs", data["speedup_10k_subs"]
-            )
-        }
-    raise SystemExit(f"{path}: unrecognized benchmark shape (keys {sorted(data)})")
-
-
-#: exact per-backend counts of ``BENCH_persistence.json`` (lower is better)
-COUNT_FIELDS = ("records_per_send", "bytes_per_send")
+def extract_ratios(path, data):
+    """name -> ratio, for the shapes that carry one."""
+    ratios = {}
+    for name in RATIO_FIELDS:
+        if name in data:
+            try:
+                ratios[name] = float(data[name])
+            except (TypeError, ValueError) as exc:
+                raise SystemExit(f"{path}: no usable {name} field ({exc})")
+            if ratios[name] <= 0:
+                raise SystemExit(f"{path}: non-positive {name} {data[name]!r}")
+    return ratios
 
 
 def extract_counts(data):
@@ -141,14 +92,9 @@ def check_counts(current_path, baseline, current):
     return failures
 
 
-def check_gate(baseline_path, current_path, tolerance):
-    """Print the comparison; return the number of regressed metrics."""
-    baseline_data, current_data = _load(baseline_path), _load(current_path)
-    baseline = extract_metrics(baseline_path, baseline_data)
-    current = extract_metrics(current_path, current_data)
-    failures = check_counts(
-        current_path, extract_counts(baseline_data), extract_counts(current_data)
-    )
+def check_ratios(current_path, baseline, current, tolerance):
+    """Returns the number of ratios more than ``tolerance`` below baseline."""
+    failures = 0
     for name, base in sorted(baseline.items()):
         if name not in current:
             print(
@@ -181,18 +127,36 @@ def check_gate(baseline_path, current_path, tolerance):
     return failures
 
 
+def check_gate(baseline_path, current_path, tolerance):
+    """Print the comparison; return the number of regressed metrics."""
+    baseline, current = _load(baseline_path), _load(current_path)
+    baseline_ratios = extract_ratios(baseline_path, baseline)
+    current_ratios = extract_ratios(current_path, current)
+    for path, data, ratios in (
+        (baseline_path, baseline, baseline_ratios),
+        (current_path, current, current_ratios),
+    ):
+        if "backends" not in data and not ratios:
+            raise SystemExit(
+                f"{path}: unrecognized benchmark shape (keys {sorted(data)})"
+            )
+    return check_counts(
+        current_path, extract_counts(baseline), extract_counts(current)
+    ) + check_ratios(current_path, baseline_ratios, current_ratios, tolerance)
+
+
 def parse_gate(spec):
     """'baseline:current[:tolerance]' -> (baseline, current, tolerance)."""
     parts = spec.split(":")
-    if len(parts) == 2:
-        return parts[0], parts[1], None
-    if len(parts) == 3:
-        try:
-            tolerance = float(parts[2])
-        except ValueError:
-            raise SystemExit(f"--gate {spec!r}: bad tolerance {parts[2]!r}")
-        return parts[0], parts[1], tolerance
-    raise SystemExit(f"--gate {spec!r}: expected baseline:current[:tolerance]")
+    if len(parts) not in (2, 3):
+        raise SystemExit(f"--gate {spec!r}: expected baseline:current[:tolerance]")
+    try:
+        tolerance = float(parts[2]) if len(parts) == 3 else DEFAULT_TOLERANCE
+    except ValueError:
+        raise SystemExit(f"--gate {spec!r}: bad tolerance {parts[2]!r}")
+    if not 0 <= tolerance < 1:
+        raise SystemExit(f"--gate {spec!r}: tolerance must be in [0, 1)")
+    return parts[0], parts[1], tolerance
 
 
 def main(argv=None):
@@ -200,43 +164,11 @@ def main(argv=None):
         description="Gate CI on benchmark regressions."
     )
     parser.add_argument(
-        "--gate", action="append", default=[], metavar="BASELINE:CURRENT[:TOL]",
+        "--gate", action="append", required=True, metavar="BASELINE:CURRENT[:TOL]",
         help="gate one benchmark file pair (repeatable)",
     )
-    parser.add_argument(
-        "--baseline", help="legacy: single baseline JSON (the reference)"
-    )
-    parser.add_argument(
-        "--current", help="legacy: single current JSON produced by this run"
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="allowed fractional drop below baseline (default 0.25)",
-    )
     args = parser.parse_args(argv)
-    if not 0 <= args.tolerance < 1:
-        parser.error("--tolerance must be in [0, 1)")
-
-    gates = [parse_gate(spec) for spec in args.gate]
-    if args.baseline or args.current:
-        if not (args.baseline and args.current):
-            parser.error("--baseline and --current must be given together")
-        gates.append((args.baseline, args.current, None))
-    if not gates:
-        parser.error("nothing to gate: pass --gate or --baseline/--current")
-
-    failures = 0
-    for baseline_path, current_path, tolerance in gates:
-        if tolerance is not None and not 0 <= tolerance < 1:
-            raise SystemExit(
-                f"--gate {baseline_path}:{current_path}: tolerance"
-                f" {tolerance!r} must be in [0, 1)"
-            )
-        failures += check_gate(
-            baseline_path,
-            current_path,
-            args.tolerance if tolerance is None else tolerance,
-        )
+    failures = sum(check_gate(*parse_gate(spec)) for spec in args.gate)
     if failures:
         return 1
     print("OK")

@@ -15,7 +15,7 @@ seeded connection drops (landing mid-frame), reconnect resync,
 retransmission and deferred confirmations.
 
 Results land in ``CHAOS_smoke.json`` at the repo root (uploaded by the
-CI chaos-smoke job next to ``BENCH_throughput.json``).  Any failing
+CI chaos-smoke job).  Any failing
 episode is shrunk to a minimal reproducer written as
 ``CHAOS_repro_seed<N>.json`` at the repo root, which the CI job uploads
 as an artifact; replay it locally with

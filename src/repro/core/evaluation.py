@@ -76,21 +76,11 @@ class EvaluationManager:
         on_decided: Callable[[OutcomeRecord], None],
         scheduler: Optional[EventScheduler] = None,
         push: bool = True,
-        pump_coalesce_ms: Optional[int] = None,
     ) -> None:
         """``push=True`` (default) subscribes to the ack queue so every
         arriving acknowledgment is evaluated immediately; ``push=False``
         leaves acks parked until :meth:`pump`/:meth:`poll` — the polled
-        deployment mode the ablation benchmarks compare against.
-
-        ``pump_coalesce_ms`` (push mode, scheduler required) defers the
-        drain to a single scheduled event that many ms after the first
-        arrival instead of pumping synchronously per put: acknowledgments
-        from several receivers landing inside the window are drained —
-        and each touched condition evaluated — once.  Decisions shift by
-        at most the window (virtual ms); acks sit journaled in the ack
-        queue meanwhile, so a crash inside the window loses nothing —
-        recovery re-pumps them."""
+        deployment mode the ablation benchmarks compare against."""
         self.manager = manager
         self.ack_queue = ack_queue
         self.scheduler = scheduler
@@ -114,23 +104,7 @@ class EvaluationManager:
         self.stats = EvaluationStats()
         manager.ensure_queue(ack_queue)
         if push:
-            if pump_coalesce_ms is not None and scheduler is not None:
-                pending = {"scheduled": False}
-
-                def _coalesced_pump() -> None:
-                    pending["scheduled"] = False
-                    self.pump()
-
-                def _on_ack_put(_message: object) -> None:
-                    if not pending["scheduled"]:
-                        pending["scheduled"] = True
-                        scheduler.call_later(
-                            pump_coalesce_ms, _coalesced_pump, label="ack-pump"
-                        )
-
-                manager.queue(ack_queue).subscribe(_on_ack_put)
-            else:
-                manager.queue(ack_queue).subscribe(lambda _message: self.pump())
+            manager.queue(ack_queue).subscribe(lambda _message: self.pump())
 
     # -- registration ------------------------------------------------------------
 

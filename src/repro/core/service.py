@@ -20,7 +20,6 @@ queue manager for unconditional traffic.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -73,15 +72,6 @@ class ConditionalMessagingService:
             the system "can" send them).
         evaluation_grace_ms: Slack added to the largest condition deadline
             to form the default evaluation timeout.
-        group_commit: Batch every journal record a conditional send
-            produces (sender-log entry, staged compensations, transmission
-            parking of the data messages) into one group-committed flush,
-            so a send at fan-out N costs one flush instead of ``2N+1``.
-            On by default; disable for the per-record ablation baseline.
-        pump_coalesce_ms: Defer ack-queue drains to one scheduled event
-            that many ms after the first arrival (see
-            :class:`~repro.core.evaluation.EvaluationManager`); ``None``
-            (default) pumps synchronously per arriving acknowledgment.
 
     Observability (tracer and metrics registry, :mod:`repro.obs`) is
     inherited from ``manager`` — give the queue manager a
@@ -100,14 +90,11 @@ class ConditionalMessagingService:
         comp_queue: str = COMPENSATION_QUEUE,
         outcome_queue: str = OUTCOME_QUEUE,
         push_evaluation: bool = True,
-        group_commit: bool = True,
-        pump_coalesce_ms: Optional[int] = None,
     ) -> None:
         self.manager = manager
         self.scheduler = scheduler
         self.notify_success = notify_success
         self.evaluation_grace_ms = evaluation_grace_ms
-        self.group_commit = group_commit
         self.ack_queue = ack_queue
         self.slog_queue = slog_queue
         self.outcome_queue = outcome_queue
@@ -120,7 +107,6 @@ class ConditionalMessagingService:
             on_decided=self._on_decided,
             scheduler=scheduler,
             push=push_evaluation,
-            pump_coalesce_ms=pump_coalesce_ms,
         )
         self.stats = ServiceStats()
         #: cmid -> deferral callback installed by a Dependency-Sphere
@@ -190,9 +176,8 @@ class ConditionalMessagingService:
         # synchronous cross-manager transfer until that group is durable
         # (Journal.post_commit), so no destination can receive the
         # original while the records that make it compensatable are still
-        # buffered; with group commit off, each record pays its own flush
-        # before the transfer, preserving the same order.
-        with self._durability_scope():
+        # buffered.
+        with self.manager.group_commit():
             self.compensation.stage(generated.compensations)
             self.manager.put(self.slog_queue, log_entry.to_message())
             for manager_name, queue_name, batch in generated.outgoing_by_target():
@@ -283,7 +268,7 @@ class ConditionalMessagingService:
 
     def _on_decided(self, record: OutcomeRecord) -> None:
         deferral = self._deferrals.pop(record.cmid, None)
-        with self._durability_scope():
+        with self.manager.group_commit():
             # The informational outcome notification always lands on
             # DS.OUTCOME.Q as soon as evaluation completes (section 2.5).
             self.manager.put(self.outcome_queue, record.to_message())
@@ -348,16 +333,6 @@ class ConditionalMessagingService:
         return len(notifications)
 
     # -- internals -------------------------------------------------------------------
-
-    def _durability_scope(self):
-        """One group-committed journal flush for the enclosed operations.
-
-        A plain no-op scope when group commit is disabled (the per-record
-        ablation baseline) — every journal record then pays its own flush.
-        """
-        if not self.group_commit:
-            return nullcontext(self.manager)
-        return self.manager.group_commit()
 
     def _remove_log_entry(self, cmid: str) -> None:
         # The entry carries correlation_id = cmid: a keyed lookup, then a

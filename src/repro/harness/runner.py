@@ -193,8 +193,6 @@ class MultiprocessDeployment:
     Args:
         receivers: Number of receiver host processes.
         messages: Conditional messages the sender round-robins.
-        processing_ms: Simulated per-message work in each receiver (the
-            cost that overlaps across processes).
         transport: ``"unix"`` or ``"tcp"`` (loopback, ephemeral ports).
         socket_dir: Directory for unix sockets; a private temp dir
             (removed on cleanup) when None.
@@ -207,7 +205,6 @@ class MultiprocessDeployment:
         self,
         receivers: int,
         messages: int,
-        processing_ms: float = 2.0,
         transport: str = "unix",
         socket_dir: Optional[str] = None,
         capacity: int = 128,
@@ -220,7 +217,6 @@ class MultiprocessDeployment:
             raise ValueError(f"unknown transport {transport!r}")
         self.receivers = receivers
         self.messages = messages
-        self.processing_ms = processing_ms
         self.transport = transport
         self.capacity = capacity
         self.pickup_ms = pickup_ms
@@ -278,7 +274,6 @@ class MultiprocessDeployment:
                     "--name", name,
                     "--listen", self._receiver_listen(i),
                     "--peer", f"{self.sender_name}={self.sender_addr}",
-                    "--processing-ms", str(self.processing_ms),
                     "--capacity", str(self.capacity),
                     "--timeout", str(self.timeout_s),
                 ]
@@ -397,28 +392,6 @@ def _await_line(proc: subprocess.Popen, prefix: str, timeout_s: float) -> str:
             raise RuntimeError(f"host closed stdout before {prefix!r}\n{err}")
         if line.startswith(prefix):
             return line.strip()
-
-
-def run_multiprocess_benchmark(
-    receivers: int,
-    messages: int,
-    processing_ms: float = 2.0,
-    transport: str = "unix",
-    timeout_s: float = 120.0,
-) -> Dict[str, object]:
-    """One multi-process throughput measurement (see the deployment class).
-
-    Returns the sender's RESULT payload: ``sends_per_sec``,
-    ``decision_latency_ms`` percentiles, per-channel ``wire`` counters.
-    """
-    with MultiprocessDeployment(
-        receivers=receivers,
-        messages=messages,
-        processing_ms=processing_ms,
-        transport=transport,
-        timeout_s=timeout_s,
-    ) as deployment:
-        return deployment.run()
 
 
 def run_chaos_corpus(

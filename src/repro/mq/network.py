@@ -403,34 +403,22 @@ class MessageNetwork(Transport):
                 target_manager=target,
                 target_queue=queue_name,
             )
-        if self.scheduler is None:
-            # Synchronous delivery must not outrun the sender's
-            # durability: inside a group-commit batch the compensation /
-            # sender-log / parking records are still buffered, and
-            # transferring now would flush the data message into the
-            # TARGET manager's journal first — a sender crash then leaves
-            # a delivered original that recovery cannot compensate.
-            # post_commit defers the transfer until the source journal's
-            # commit group is written (immediately when no batch is
-            # open).  Scheduler-backed delivery is naturally deferred
-            # past the batch because events run after the sending call
-            # returns.
+        if not chan.stopped:
+            # Delivery must not outrun the sender's durability: inside a
+            # group-commit batch the compensation / sender-log / parking
+            # records are still buffered, and transferring now would flush
+            # the data message into the TARGET manager's journal first — a
+            # sender crash then leaves a delivered original that recovery
+            # cannot compensate.  post_durable runs the attempt (or starts
+            # its latency countdown) once the source's commit group is
+            # written — now when no batch is open — and never if it aborts.
             message_id = enveloped.message_id
-            src_manager.post_durable(
-                lambda: self._attempt_transfer(chan, message_id)
+            start = (
+                self._attempt_transfer
+                if self.scheduler is None
+                else self._schedule_attempt
             )
-        elif not chan.stopped:
-            # Scheduler-backed delivery is deferred past an open batch
-            # because events run after the sending call returns — but an
-            # adaptive flush timer can hold the sender's records *across*
-            # events, so the latency countdown must not start until the
-            # parking record's commit group is written.  post_commit is
-            # immediate when nothing is held, keeping the plain path
-            # unchanged.
-            message_id = enveloped.message_id
-            src_manager.post_durable(
-                lambda: self._schedule_attempt(chan, message_id)
-            )
+            src_manager.post_durable(lambda: start(chan, message_id))
 
     def _schedule_attempt(self, chan: Channel, message_id: str) -> None:
         assert self.scheduler is not None

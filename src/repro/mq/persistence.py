@@ -26,10 +26,9 @@ records per force-out):
 * a commit group is **one physical frame**, so a torn write can never
   persist a prefix of it: recovery replays the whole group or drops it
   with the torn tail — group commit is genuinely all-or-nothing;
-* :meth:`Journal.enable_adaptive_flush` holds commit groups for a bounded,
-  arrival-rate-adaptive window so groups from *separate* sends coalesce
-  into one physical write, and :meth:`Journal.post_commit` defers an
-  action (cross-manager delivery) until the staged records are durable;
+* :meth:`Journal.post_commit` defers an action (cross-manager delivery)
+  until the staged records are durable: outside a batch the callback runs
+  now; inside, after the outermost group is written, or never if it aborts;
 * the **sync policy** (``always`` / ``batch`` / ``none``) controls when the
   file journal forces data to disk (``os.fsync``), and a
   ``compaction_threshold`` lets the owning queue manager checkpoint
@@ -287,7 +286,10 @@ class JsonLinesCodec:
         return json.dumps(record).encode("utf-8") + b"\n"
 
     def stage(self, records: Iterable[Any]) -> int:
-        lines = [self.encode_record(record) for record in records]
+        try:
+            lines = [self.encode_record(record) for record in records]
+        except (TypeError, ValueError) as exc:  # not data, or a cycle
+            raise PersistenceError(f"journal record refused: {exc}") from exc
         self._frames += lines
         return len(lines)
 
@@ -477,8 +479,9 @@ def _scan_journal(
                     isinstance(member, dict) for member in members
                 ):
                     raise ValueError("not a journal record")
-            except ValueError as exc:
-                # Not UTF-8, not JSON, or JSON that is not a record.
+            except (ValueError, RecursionError) as exc:
+                # Not UTF-8, not JSON, JSON nested past the parser's
+                # stack, or JSON that is not a record.
                 if not data[offset:].strip():
                     # A corrupt final line is the signature of a crash
                     # mid-append; everything before it is intact.
@@ -546,9 +549,6 @@ class Journal(ABC):
         self.recover_records = 0
         self.recover_live = 0
         self.recover_compacted = 0
-        #: commit groups coalesced by the adaptive flush timer (logical
-        #: groups buffered; each physical drain covers one or more)
-        self.adaptive_groups_coalesced = 0
         #: optional metrics registry (the owning manager attaches its own)
         self.metrics = None  # type: Optional[Any]
         #: crash-point hooks (:mod:`repro.chaos`): called with the logical
@@ -563,19 +563,6 @@ class Journal(ABC):
         self._batch_depth = 0
         self._batch_count = 0  # records the codec holds staged for the open batch
         self._post_commit_hooks: List[Callable[[], None]] = []
-        # Adaptive flush state (armed by enable_adaptive_flush).
-        self._af_scheduler: Optional[Any] = None
-        self._af_min_hold_ms = 1
-        self._af_max_hold_ms = 20
-        self._af_alpha = 0.125
-        self._af_beta = 0.25
-        self._af_srtt: Optional[float] = None
-        self._af_rttvar = 0.0
-        self._af_last_arrival_ms: Optional[int] = None
-        self._af_pending: List[bytes] = []
-        self._af_count = 0  # logical records in the held frames
-        self._af_event: Optional[Any] = None
-        self._held_hooks: List[Callable[[], None]] = []
 
     # -- store primitives ---------------------------------------------------
 
@@ -599,8 +586,7 @@ class Journal(ABC):
         """Number of logical records currently in the live log.
 
         Members of a multi-record commit group count individually, even
-        though the group occupies one physical frame.  Records held by
-        the adaptive flush timer are not yet in the log.
+        though the group occupies one physical frame.
         """
         return self._records_in_log
 
@@ -651,7 +637,7 @@ class Journal(ABC):
                 try:
                     if self._batch_count:
                         count, self._batch_count = self._batch_count, 0
-                        self._commit_group(self.codec.take(), count)
+                        self._write_group(self.codec.take(), count)
                     elif body_raised:
                         # Nothing was staged and the block aborted: the
                         # hooks belong to work that never happened.
@@ -676,21 +662,17 @@ class Journal(ABC):
     def post_commit(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` once currently-staged records are durable.
 
-        Outside a :meth:`batch`, with no adaptively-held records, every
-        append so far has already been committed and the callback runs
-        immediately.  Inside a batch it is deferred until the outermost
-        commit group has been written; while the adaptive flush timer
-        holds records it is deferred until the next :meth:`drain`.  The
-        network layer uses this to hold cross-manager delivery until the
-        sender's commit group (compensation staging, sender-log entry,
-        transmission parking) is durable — delivering earlier would let a
-        data message reach the target's journal while the records that
-        make it compensatable are still buffered.
+        Outside a :meth:`batch` every append so far has already been
+        committed and the callback runs now.  Inside a batch it runs after
+        the outermost commit group has been written, or never if that group
+        aborts.  The network layer uses this to hold cross-manager delivery
+        until the sender's commit group (compensation staging, sender-log
+        entry, transmission parking) is durable — delivering earlier would
+        let a data message reach the target's journal while the records
+        that make it compensatable are still buffered.
         """
         if self._batch_depth:
             self._post_commit_hooks.append(callback)
-        elif self._af_pending:
-            self._held_hooks.append(callback)
         else:
             callback()
 
@@ -701,14 +683,7 @@ class Journal(ABC):
         if self._batch_depth:
             self._batch_count += count
         elif count:
-            self._commit_group(self.codec.take(), count)
-
-    def _commit_group(self, frames: List[bytes], count: int) -> None:
-        """One logical commit group: write now, or hold for coalescing."""
-        if self._af_scheduler is not None:
-            self._af_buffer(frames, count)
-        else:
-            self._write_group(frames, count)
+            self._write_group(self.codec.take(), count)
 
     def _write_group(self, frames: List[bytes], count: int) -> None:
         """Hand ``count`` logical records, encoded as ``frames``, to the store."""
@@ -732,133 +707,6 @@ class Journal(ABC):
             self.metrics.incr("journal.bytes", nbytes)
             self.metrics.observe("journal.batch_records", count)
 
-    # -- adaptive flush -----------------------------------------------------
-
-    def enable_adaptive_flush(
-        self,
-        scheduler: Any,
-        min_hold_ms: int = 1,
-        max_hold_ms: int = 20,
-        alpha: float = 0.125,
-        beta: float = 0.25,
-    ) -> None:
-        """Hold commit groups open so concurrent sends coalesce.
-
-        Once armed, a commit group is buffered instead of written, and a
-        flush event is scheduled ``hold`` ms out; every group arriving
-        inside the window joins the same physical write.  The hold window
-        is an RFC 6298-style estimator over commit-group inter-arrival
-        gaps — ``srtt`` and ``rttvar`` smoothed with gains ``alpha`` and
-        ``beta``, ``hold = srtt + 4·rttvar`` clamped to
-        ``[min_hold_ms, max_hold_ms]`` — so the journal waits roughly as
-        long as the observed arrival rate predicts the next group will
-        take, and ``max_hold_ms`` bounds the worst-case added latency.
-
-        Crash semantics: held groups are lost together (none of them was
-        ever acknowledged durable), and all held :meth:`post_commit`
-        actions — including cross-manager transfers — are held with them,
-        so the durability order is exactly that of one large commit
-        group.  :meth:`drain` (and any read/rewrite/close) forces the
-        buffered groups out as one physical commit group.
-        """
-        if scheduler is None:
-            raise PersistenceError("adaptive flush needs an event scheduler")
-        if not 0 < min_hold_ms <= max_hold_ms:
-            raise PersistenceError(
-                f"bad adaptive flush window [{min_hold_ms}, {max_hold_ms}]"
-            )
-        self._af_scheduler = scheduler
-        self._af_min_hold_ms = int(min_hold_ms)
-        self._af_max_hold_ms = int(max_hold_ms)
-        self._af_alpha = alpha
-        self._af_beta = beta
-
-    def disable_adaptive_flush(self) -> None:
-        """Drain held groups and return to write-through commits."""
-        self.drain()
-        self._af_scheduler = None
-
-    @property
-    def adaptive_flush_enabled(self) -> bool:
-        return self._af_scheduler is not None
-
-    def drain(self) -> int:
-        """Write adaptively-held groups now; returns records written.
-
-        All buffered groups go out as one physical commit group, then the
-        held :meth:`post_commit` actions run.  A failing write drops the
-        held actions (the records never reached the log), mirroring
-        :meth:`batch` abort semantics.  A no-op when nothing is held.
-        """
-        if self._af_event is not None:
-            self._af_event.cancel()
-            self._af_event = None
-        drained = 0
-        if self._af_pending:
-            frames, self._af_pending = self._af_pending, []
-            drained, self._af_count = self._af_count, 0
-            try:
-                self._write_group(frames, drained)
-            except BaseException:
-                self._held_hooks.clear()
-                raise
-        try:
-            while self._held_hooks:
-                hooks, self._held_hooks = self._held_hooks, []
-                for hook in hooks:
-                    hook()
-        except BaseException:
-            self._held_hooks.clear()
-            raise
-        return drained
-
-    def _af_buffer(self, frames: List[bytes], count: int) -> None:
-        now = self._af_scheduler.clock.now_ms()
-        self._af_observe_arrival(now)
-        self.adaptive_groups_coalesced += 1
-        first = not self._af_pending
-        self._af_pending.extend(frames)
-        self._af_count += count
-        if self._post_commit_hooks:
-            # Hooks captured by the enclosing batch() exit must not fire
-            # until the held group is durable.
-            self._held_hooks.extend(self._post_commit_hooks)
-            self._post_commit_hooks.clear()
-        if first:
-            # Later arrivals join the window without rescheduling, so the
-            # first buffered group bounds the added latency.
-            self._af_event = self._af_scheduler.call_later(
-                self._af_hold_ms(), self._af_timer_fired, label="journal-flush"
-            )
-
-    def _af_timer_fired(self) -> None:
-        self._af_event = None
-        self.drain()
-
-    def _af_observe_arrival(self, now_ms: int) -> None:
-        last = self._af_last_arrival_ms
-        self._af_last_arrival_ms = now_ms
-        if last is None:
-            return
-        gap = float(now_ms - last)
-        if self._af_srtt is None:
-            # First measurement (RFC 6298 §2.2): SRTT = R, RTTVAR = R/2.
-            self._af_srtt = gap
-            self._af_rttvar = gap / 2.0
-        else:
-            self._af_rttvar += self._af_beta * (
-                abs(self._af_srtt - gap) - self._af_rttvar
-            )
-            self._af_srtt += self._af_alpha * (gap - self._af_srtt)
-
-    def _af_hold_ms(self) -> int:
-        if self._af_srtt is None:
-            return self._af_min_hold_ms
-        hold = self._af_srtt + 4.0 * self._af_rttvar
-        return max(
-            self._af_min_hold_ms, min(self._af_max_hold_ms, int(round(hold)))
-        )
-
     # -- maintenance --------------------------------------------------------
 
     def close(self) -> None:
@@ -867,14 +715,12 @@ class Journal(ABC):
         The base journal holds none; stores with handles override this.
         Harnesses may call it on any backend unconditionally.
         """
-        self.drain()
 
     def needs_compaction(self) -> bool:
         """True when the live log has outgrown ``compaction_threshold``."""
         return (
             self.compaction_threshold is not None
             and self._batch_depth == 0
-            and not self._af_pending
             and self.size() >= self.compaction_threshold
         )
 
@@ -902,7 +748,6 @@ class Journal(ABC):
 
     def checkpoint(self, queues: Dict[str, List[Message]]) -> None:
         """Compact the log to a single snapshot of current persistent state."""
-        self.drain()
         records: List[tuple] = [("snapshot-begin",)]
         for queue_name in sorted(queues):
             records.append(("define", queue_name))
@@ -933,7 +778,6 @@ class Journal(ABC):
         :attr:`skipped_trailing_records`, which this method refreshes
         along with :attr:`recover_records` and :attr:`recover_live`.
         """
-        self.drain()
         # queue -> message id -> undecoded message record.  Both levels
         # are insertion-ordered: definition order and put order.
         live: Dict[str, Dict[str, Dict[str, Any]]] = {}
@@ -999,7 +843,6 @@ class MemoryJournal(Journal):
         return sum(len(frame) for frame in frames)
 
     def read_all(self) -> List[Dict[str, Any]]:
-        self.drain()
         data = b"".join(self._frames)
         records, valid_end, torn = _scan_journal(data, "<memory>")
         if torn:
@@ -1011,7 +854,6 @@ class MemoryJournal(Journal):
         return records
 
     def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
-        self.drain()
         self._frames = [self.codec.encode_record(record) for record in records]
         self._records_in_log = len(self._frames)
 
@@ -1116,7 +958,6 @@ class FileJournal(Journal):
 
     def sync(self) -> None:
         """Force everything written so far to stable storage."""
-        self.drain()
         try:
             self._fh.flush()
             os.fsync(self._fh.fileno())
@@ -1127,14 +968,12 @@ class FileJournal(Journal):
         """Flush, force out, and release the append handle."""
         if self._fh.closed:
             return
-        self.drain()
         self._fh.flush()
         if self.sync_policy != "none":
             os.fsync(self._fh.fileno())
         self._fh.close()
 
     def read_all(self) -> List[Dict[str, Any]]:
-        self.drain()
         records, self._opened = self._opened, None
         try:
             if not self._fh.closed:
@@ -1149,7 +988,6 @@ class FileJournal(Journal):
         return records
 
     def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
-        self.drain()
         tmp_path = self.path + ".tmp"
         frames = [self.codec.encode_record(record) for record in records]
         try:

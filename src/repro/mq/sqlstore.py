@@ -242,9 +242,9 @@ class SqlQueueStore:
     state.  It exposes the journal-shaped surface the harnesses rely on —
     ``recover()`` (read-only fold for the chaos invariant checker),
     ``close()``, ``post_commit()``, ``on_pre_flush``/``on_post_flush``
-    fault-injection hooks, ``enable_adaptive_flush()`` (a no-op; group
-    boundaries are real SQL transactions here) — so chaos episodes and
-    the workload testbed can swap it in for a journal unchanged.
+    fault-injection hooks (a group boundary is a real SQL transaction
+    here) — so chaos episodes and the workload testbed can swap it in
+    for a journal unchanged.
 
     Several managers may attach to one store instance; single-threaded
     (simulated-time) use is assumed, as everywhere in this repo.
@@ -479,13 +479,6 @@ class SqlQueueStore:
         return queue_names, live
 
     # -- journal-surface compatibility ---------------------------------------
-
-    def enable_adaptive_flush(self, scheduler: Any, **_kwargs: Any) -> None:
-        """No-op: store commits are real transactions, never deferred."""
-
-    def drain(self) -> int:
-        """No-op (nothing is ever buffered outside a transaction)."""
-        return 0
 
     def needs_compaction(self) -> bool:
         return False

@@ -88,7 +88,8 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     """Decode a frame payload back to its JSON object."""
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack allows.
         raise FrameError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(obj, dict):
         raise FrameError("frame payload is not a JSON object")

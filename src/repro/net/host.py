@@ -7,10 +7,9 @@ deployment:
     A queue manager + :class:`~repro.net.wire.WireHost` serving an
     inbox queue.  Accepts data messages from a sender host, drains the
     inbox through :class:`~repro.core.receiver.ConditionalMessagingReceiver`
-    (so READ acknowledgments flow back over its own outbound channel),
-    and simulates per-message work with ``--processing-ms``.  Prints a
-    ``READY`` line to stdout once listening; exits when stdin reaches
-    EOF (so an orphaned host dies with its parent runner).
+    (so READ acknowledgments flow back over its own outbound channel).
+    Prints a ``READY`` line to stdout once listening; exits when stdin
+    reaches EOF (so an orphaned host dies with its parent runner).
 
 ``sender``
     A queue manager + WireHost + full
@@ -139,14 +138,9 @@ async def run_receiver(args: argparse.Namespace) -> None:
                         break
                     batch += 1
             await host.refresh_windows()
-            if not batch:
-                await asyncio.sleep(0.002)
-                continue
             processed += batch
-            # The simulated application work: this sleep is the
-            # per-message cost that overlaps across receiver processes.
-            for _ in range(batch):
-                await asyncio.sleep(args.processing_ms / 1000.0)
+            # Let the wire run between batches; back off on an empty inbox.
+            await asyncio.sleep(0 if batch else 0.002)
     finally:
         stop.cancel()
         await host.close()
@@ -248,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="inbox queue (default IN.<name>)")
     receiver.add_argument("--recipient", default=None,
                           help="recipient id for acks (default <name>)")
-    receiver.add_argument("--processing-ms", type=float, default=0.0,
-                          help="simulated work per message")
     receiver.add_argument("--capacity", type=int, default=64,
                           help="inbox backlog bound advertised as credit")
 

@@ -583,7 +583,7 @@ class WireHost(Transport):
             # seeded from our own recovered queues): suppress the
             # second put, but defer the ack exactly like the original
             # put's — the first delivery's commit group may still be
-            # held open (adaptive group commit), and acking before it
+            # open (a group-commit batch), and acking before it
             # flushes would let the sender resolve its in-doubt spool
             # copy for a message this process could still lose.
             self._track_delivered(peer, seq, key)
@@ -607,8 +607,8 @@ class WireHost(Transport):
     def _post_confirm(self, peer: str, engine: ChannelEngine, seq: int) -> None:
         """Ack ``seq`` once the current commit group is durable.
 
-        The deferred callback may fire outside any socket read (a group
-        flush, an adaptive-flush timer), where the accept loop schedules
+        The deferred callback may fire outside any socket read (the exit
+        of a group-commit batch), where the accept loop schedules
         no write of its own — so after confirming, push the queued ACK
         bytes out explicitly instead of letting them sit in the engine
         outbox until the next inbound frame.
@@ -659,8 +659,8 @@ class WireHost(Transport):
         ):
             return
         self._flush_scheduled.add(peer)
-        # threadsafe: adaptive-flush schedulers may drain commit groups
-        # (and run their post_commit hooks) off the loop thread.
+        # threadsafe: a group-commit batch may close (and run its
+        # post_commit hooks) off the loop thread.
         loop.call_soon_threadsafe(self._start_inbound_flush, peer)
 
     def _start_inbound_flush(self, peer: str) -> None:

@@ -84,8 +84,6 @@ class Testbed:
         notify_success: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        adaptive_flush: bool = False,
-        pump_coalesce_ms: Optional[int] = None,
     ) -> None:
         self.clock = SimulatedClock()
         self.scheduler = EventScheduler(self.clock)
@@ -103,17 +101,12 @@ class Testbed:
         #: factory for any registered backend).  Only consulted when
         #: ``journaled`` is true.
         self.journal_factory = journal_factory
-        #: When true, every journaled manager's journal runs with the
-        #: adaptive group-commit timer attached to the shared scheduler
-        #: (:meth:`~repro.mq.persistence.Journal.enable_adaptive_flush`).
-        self.adaptive_flush = adaptive_flush
         self.sender_manager = self._make_manager(self.SENDER, journaled)
         self.network.add_manager(self.sender_manager)
         self.service = ConditionalMessagingService(
             self.sender_manager,
             scheduler=self.scheduler,
             notify_success=notify_success,
-            pump_coalesce_ms=pump_coalesce_ms,
         )
         self.sender_txmanager = TransactionManager()
         self.dsphere = DSphereService(
@@ -148,8 +141,6 @@ class Testbed:
             )
         if journal is not None:
             self.journals[name] = journal
-            if self.adaptive_flush:
-                journal.enable_adaptive_flush(self.scheduler)
         return QueueManager(
             name,
             self.clock,

@@ -7,7 +7,7 @@ path (:meth:`ConditionalMessagingReceiver.ack_batch`,
 (ack manager, ack queue) target, while single acks keep the legacy wire
 shape for mixed-version peers.  These tests pin the wire format, the
 decode errors, the receiver-side buffering, and the sender-side
-evaluation of batched acks — including the opt-in coalesced ack pump.
+evaluation of batched acks.
 """
 
 import pytest
@@ -26,8 +26,6 @@ from repro.core.logqueues import ACK_QUEUE
 from repro.core.outcome import MessageOutcome
 from repro.errors import ConditionalMessagingError
 from repro.mq.message import Message
-
-from .conftest import Duo
 
 
 def make_ack(n, kind=AckKind.READ):
@@ -183,24 +181,6 @@ class TestReceiverBuffering:
 
 
 class TestCoalescedPump:
-    def test_acks_within_the_window_pump_once(self, clock, scheduler):
-        duo = Duo(clock, scheduler, pump_coalesce_ms=5)
-        cmids = [
-            duo.service.send_message({"i": i}, alice_condition())
-            for i in range(2)
-        ]
-        duo.deliver()
-        duo.receiver.read_message("Q.IN")
-        duo.receiver.read_message("Q.IN")
-        duo.deliver()
-        # Both acks are journaled on the ack queue, but the pump is
-        # deferred: no decision yet.
-        for cmid in cmids:
-            assert duo.service.outcome(cmid) is None
-        scheduler.run_for(5)
-        for cmid in cmids:
-            assert duo.service.outcome(cmid).outcome is MessageOutcome.SUCCESS
-
     def test_default_pump_is_immediate(self, duo):
         cmid = duo.service.send_message({"i": 0}, alice_condition())
         duo.deliver()

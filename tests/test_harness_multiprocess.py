@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.harness.runner import MultiprocessDeployment, run_multiprocess_benchmark
+from repro.harness.runner import MultiprocessDeployment
 
 
 def all_exited(deployment):
@@ -18,9 +18,8 @@ def all_exited(deployment):
 
 
 def test_unix_deployment_end_to_end():
-    result = run_multiprocess_benchmark(
-        receivers=1, messages=10, processing_ms=0.0, timeout_s=60.0
-    )
+    with MultiprocessDeployment(receivers=1, messages=10, timeout_s=60.0) as deployment:
+        result = deployment.run()
     assert result["decided_success"] == 10
     assert result["pending"] == 0
     assert result["sends_per_sec"] > 0
@@ -29,10 +28,10 @@ def test_unix_deployment_end_to_end():
 
 
 def test_tcp_deployment_end_to_end():
-    result = run_multiprocess_benchmark(
-        receivers=1, messages=5, processing_ms=0.0, transport="tcp",
-        timeout_s=60.0,
-    )
+    with MultiprocessDeployment(
+        receivers=1, messages=5, transport="tcp", timeout_s=60.0
+    ) as deployment:
+        result = deployment.run()
     assert result["decided_success"] == 5
     assert result["pending"] == 0
 

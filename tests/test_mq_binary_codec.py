@@ -24,7 +24,7 @@ import zlib
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import PersistenceError
 from repro.mq.manager import QueueManager
@@ -364,6 +364,8 @@ def valid_mixed_log():
 MIXED_LOG = valid_mixed_log()
 #: a frame with a valid CRC over a pickle that names (and would call) ``pwn``
 EXPLOIT_FRAME = frame(RUN, pickle.dumps(Exploit()))
+#: a JSON line nested past the parser's stack (``RecursionError`` in json.loads)
+DEEP_LINE = b'{"a":' + b"[" * 200000 + b"]" * 200000 + b"}\n"
 positions = st.integers(min_value=0, max_value=len(MIXED_LOG))
 mutations = st.lists(
     st.one_of(
@@ -372,6 +374,7 @@ mutations = st.lists(
         st.tuples(st.just("splice"), positions, positions, positions),
         st.tuples(st.just("insert"), positions, st.binary(max_size=12)),
         st.tuples(st.just("insert"), positions, st.just(EXPLOIT_FRAME)),
+        st.tuples(st.just("insert"), positions, st.just(DEEP_LINE)),
     ),
     min_size=1,
     max_size=4,
@@ -388,6 +391,8 @@ def test_the_unmutated_mixed_log_scans_clean():
 
 @settings(max_examples=400, deadline=1000)
 @given(mutations, st.booleans())
+@example([("insert", 0, DEEP_LINE)], True)
+@example([("insert", len(MIXED_LOG), DEEP_LINE)], False)
 def test_scanning_mutated_bytes_gives_records_or_persistence_error(ops, strict):
     data = bytearray(MIXED_LOG)
     for op in ops:

@@ -210,7 +210,7 @@ class TestQueuePutMany:
 
 
 class TestConditionalSendGroupCommit:
-    def build_service(self, clock, fan_out, group_commit):
+    def build_service(self, clock, fan_out):
         from repro.core.builder import destination, destination_set
         from repro.core.service import ConditionalMessagingService
         from repro.mq.network import MessageNetwork
@@ -231,32 +231,17 @@ class TestConditionalSendGroupCommit:
             ],
             msg_pick_up_time=60_000,
         )
-        service = ConditionalMessagingService(sender, group_commit=group_commit)
+        service = ConditionalMessagingService(sender)
         return journal, service, condition
 
     def test_send_fanout_costs_one_flush(self, clock):
-        journal, service, condition = self.build_service(
-            clock, fan_out=4, group_commit=True
-        )
+        journal, service, condition = self.build_service(clock, fan_out=4)
         before = journal.flush_count
         service.send_message({"n": 1}, condition)
         assert journal.flush_count == before + 1
 
-    def test_group_commit_off_costs_per_record_flushes(self, clock):
-        journal, service, condition = self.build_service(
-            clock, fan_out=4, group_commit=False
-        )
-        service.send_message({"n": 0}, condition)  # defines the XMIT queues
-        before = journal.flush_count
-        service.send_message({"n": 1}, condition)
-        # compensation batch (1) + SLOG entry (1) + one parked
-        # transmission per destination (4)
-        assert journal.flush_count - before == 6
-
     def test_grouped_send_recovers_everything(self, clock):
-        journal, service, condition = self.build_service(
-            clock, fan_out=3, group_commit=True
-        )
+        journal, service, condition = self.build_service(clock, fan_out=3)
         cmid = service.send_message({"n": 1}, condition)
         recovered = QueueManager.recover("QM.S", clock, journal)
         slog = list(recovered.browse(service.slog_queue))
@@ -324,7 +309,7 @@ class TestDurabilityOrder:
             ],
             msg_pick_up_time=60_000,
         )
-        service = ConditionalMessagingService(sender, group_commit=True)
+        service = ConditionalMessagingService(sender)
         service.send_message({"n": 1}, condition)
         # Every data message reached its destination only after the
         # sender's commit group (compensations + SLOG + parkings) was
@@ -349,7 +334,7 @@ class TestDurabilityOrder:
             destination("Q.R", manager="QM.R", recipient="R1"),
             msg_pick_up_time=60_000,
         )
-        service = ConditionalMessagingService(sender, group_commit=True)
+        service = ConditionalMessagingService(sender)
         cmid = service.send_message({"n": 1}, condition, compensation={"undo": 1})
         service.apply_outcome_actions(cmid, MessageOutcome.FAILURE)
         delivered = [
@@ -378,11 +363,123 @@ class TestDurabilityOrder:
             destination("Q.R", manager="QM.R", recipient="R1"),
             msg_pick_up_time=60_000,
         )
-        service = ConditionalMessagingService(sender, group_commit=True)
+        service = ConditionalMessagingService(sender)
         cmid = service.send_message({"n": 1}, condition, compensation={"undo": 1})
         service.apply_outcome_actions(cmid, MessageOutcome.SUCCESS)
         recovered = QueueManager.recover("QM.S", clock, journal)
         assert list(recovered.browse(service.compensation.comp_queue)) == []
+
+
+class SimulatedCrash(BaseException):
+    """Raised from ``on_pre_flush`` (the group being written is lost) or
+    ``on_post_flush`` (it is durable, nothing after it happened)."""
+
+
+@pytest.mark.parametrize("scheme", sorted(JOURNAL_SCHEMES))
+@pytest.mark.parametrize("decision", ["success", "failure"])
+class TestDecisionIsOneCommitGroup:
+    """Outcome record, sender-log removal and compensation discard/release
+    are one commit group: wherever the sender dies while deciding, a
+    restart finds the message wholly undecided or wholly decided."""
+
+    PICKUP_MS = 1_000
+
+    def deploy(self, clock, sender):
+        from repro.core.receiver import ConditionalMessagingReceiver
+        from repro.core.service import ConditionalMessagingService
+        from repro.mq.network import MessageNetwork
+
+        network = MessageNetwork(scheduler=None)
+        network.add_manager(sender)
+        remote = network.add_manager(QueueManager("QM.R", clock))
+        remote.ensure_queue("Q.R")
+        network.connect("QM.S", "QM.R")
+        network.connect("QM.R", "QM.S")
+        receiver = ConditionalMessagingReceiver(remote, recipient_id="R1")
+        return ConditionalMessagingService(sender), receiver
+
+    def decide(self, decision, clock, service, receiver):
+        if decision == "success":
+            assert receiver.read_message("Q.R") is not None  # the ack decides
+        else:
+            clock.advance(self.PICKUP_MS + service.evaluation_grace_ms + 1)
+            service.poll()
+
+    def run_to_crash(self, scheme, decision, tmp_path, crash_at, hook="on_pre_flush"):
+        """Send, then decide with a crash raised from ``hook`` at the
+        decision's ``crash_at``-th flush (None: no crash).  Returns the
+        sender's store, the flushes the decision made, and the clock."""
+        from repro.core.builder import destination, destination_set
+
+        clock = SimulatedClock()
+        store = journal_factory_for(scheme, str(tmp_path), sync="none")("QM.S")
+        service, receiver = self.deploy(
+            clock, QueueManager("QM.S", clock, journal=store)
+        )
+        condition = destination_set(
+            destination("Q.R", manager="QM.R", recipient="R1"),
+            msg_pick_up_time=self.PICKUP_MS,
+        )
+        service.send_message({"n": 1}, condition, compensation={"undo": 1})
+        calls = []
+
+        def crash(_count):
+            calls.append(_count)
+            if len(calls) - 1 == crash_at:
+                raise SimulatedCrash()
+
+        setattr(store, hook, crash)
+        if crash_at is None:
+            self.decide(decision, clock, service, receiver)
+        else:
+            with pytest.raises(SimulatedCrash):
+                self.decide(decision, clock, service, receiver)
+        setattr(store, hook, None)
+        return store, len(calls), clock
+
+    def restart(self, scheme, tmp_path, clock, store):
+        if JOURNAL_SCHEMES[scheme][3]:  # path-backed: a new process reopens it
+            store.close()
+            store = journal_factory_for(scheme, str(tmp_path), sync="none")("QM.S")
+        return QueueManager.recover("QM.S", clock, store)
+
+    def state(self, sender):
+        return tuple(
+            sender.depth(queue) for queue in ("DS.SLOG.Q", "DS.COMP.Q", "DS.OUTCOME.Q")
+        )
+
+    def test_every_crash_point_recovers_undecided_or_decided(
+        self, scheme, decision, tmp_path
+    ):
+        store, flushes, _clock = self.run_to_crash(
+            scheme, decision, tmp_path / "dry", None
+        )
+        store.close()
+        seen = set()
+        crash_points = [
+            (hook, crash_at)
+            for crash_at in range(flushes)
+            for hook in ("on_pre_flush", "on_post_flush")
+        ]
+        for hook, crash_at in crash_points:
+            directory = tmp_path / f"{hook}{crash_at}"
+            store, _flushes, clock = self.run_to_crash(
+                scheme, decision, directory, crash_at, hook
+            )
+            sender = self.restart(scheme, directory, clock, store)
+            state = self.state(sender)
+            # (log entry, staged compensation, outcome): all before, or all after
+            assert state in {(1, 1, 0), (0, 0, 1)}, (hook, crash_at, state)
+            seen.add(state)
+            if state == (1, 1, 0):
+                service, _receiver = self.deploy(clock, sender)
+                assert service.recover_from_log() == 1
+                clock.advance(self.PICKUP_MS + service.evaluation_grace_ms + 1)
+                service.poll()
+                service.poll()  # decided once: a second poll adds no outcome
+                assert self.state(sender) == (0, 0, 1)
+            (sender.journal or sender.store).close()
+        assert seen == {(1, 1, 0), (0, 0, 1)}
 
 
 class TestAutoCompaction:

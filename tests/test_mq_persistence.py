@@ -304,7 +304,9 @@ class TestFileJournal:
     @pytest.mark.parametrize(
         "line",
         [b"[1, 2]", b"5", b'{"op": "group", "records": 5}',
-         b'{"op": "group", "records": [1]}', b"\xff\xfe not utf-8"],
+         b'{"op": "group", "records": [1]}', b"\xff\xfe not utf-8",
+         pytest.param(b'{"a":' + b"[" * 200000 + b"]" * 200000 + b"}",
+                      id="nested past the parser stack")],
     )
     def test_lines_that_are_not_records_are_corruption(self, line, tmp_path):
         # The open scan decodes, so hostile bytes must cost it nothing

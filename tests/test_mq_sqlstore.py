@@ -481,11 +481,6 @@ class TestChaosSurface:
         assert store.records_written >= 5
         store.close()
 
-    def test_adaptive_flush_is_a_noop(self, store):
-        store.enable_adaptive_flush(scheduler=None)
-        assert store.drain() == 0
-        assert store.needs_compaction() is False
-
 
 class TestPlannerStatistics:
     """The amortized ANALYZE schedule behind index-driven selector gets."""

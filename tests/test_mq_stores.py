@@ -9,6 +9,7 @@ import pickle
 import sqlite3
 import struct
 import zlib
+from contextlib import nullcontext
 
 import pytest
 
@@ -179,6 +180,9 @@ class Opaque:
     """Picklable, and exactly what a journal must not carry: not data."""
 
 
+#: a record that is not a put, carrying what is not data
+GENERIC_RECORD = {"op": "define", "queue": "Q", "v": object()}
+
 #: what a body may be built from — each comes back equal, with its type
 DATA_BODIES = [
     (1, ("two", None)),
@@ -210,18 +214,27 @@ class TestClosedValueSet:
 
     @pytest.mark.parametrize(
         "body",
-        [Opaque(), Opaque, lambda: None, DeliveryMode.PERSISTENT, {"deep": [Opaque()]}],
-        ids=["instance", "class", "lambda", "enum", "nested instance"],
+        [Opaque(), Opaque, lambda: None, DeliveryMode.PERSISTENT, {"deep": [Opaque()]},
+         GENERIC_RECORD],
+        ids=["instance", "class", "lambda", "enum", "nested instance", "generic record"],
     )
     def test_what_is_not_data_is_refused_at_the_put(self, scheme, body, clock, tmp_path):
+        if body is GENERIC_RECORD and scheme not in LOG_SCHEMES:
+            pytest.skip("no record log to append to")
         store = open_store(scheme, tmp_path)
         manager = QueueManager("QM.S", clock, journal=store)
         manager.define_queue("A.Q")
         manager.put("A.Q", Message(body="kept"))
         written = (store.records_written, store.flush_count)
-        with pytest.raises(PersistenceError):
-            manager.put("A.Q", Message(body=body))
-        assert (store.records_written, store.flush_count) == written
+        for scope in (nullcontext, manager.group_commit):
+            with scope():
+                with pytest.raises(PersistenceError):
+                    if body is GENERIC_RECORD:
+                        store.append(body)
+                    else:
+                        manager.put("A.Q", Message(body=body))
+            # nothing of the refused call was staged: nothing to write
+            assert (store.records_written, store.flush_count) == written
         manager.put("A.Q", Message(body="and the store still works"))
         recovered = restart(scheme, tmp_path, clock, manager)
         assert [m.body for m in recovered.browse("A.Q")] == [

@@ -130,6 +130,8 @@ def test_json_frame_roundtrip_and_bad_payloads():
     assert decode_payload(payload) == {"manager": "QM.A", "resync": 3}
     with pytest.raises(FrameError, match="undecodable"):
         decode_payload(b"\xff\xfe not json")
+    with pytest.raises(FrameError, match="undecodable"):  # not RecursionError
+        decode_payload(b'{"a":' + b"[" * 200000 + b"]" * 200000 + b"}")
     with pytest.raises(FrameError, match="not a JSON object"):
         decode_payload(b"[1,2,3]")
 

@@ -21,7 +21,7 @@ from repro.mq.manager import XMIT_PREFIX, QueueManager
 from repro.mq.message import Message
 from repro.mq.network import Transport
 from repro.mq.persistence import encode_message
-from repro.net.framing import FRAME_HELLO, FRAME_MSG, encode_json_frame
+from repro.net.framing import FRAME_HELLO, FRAME_MSG, encode_frame, encode_json_frame
 from repro.net.host import inbox_of, parse_addr, parse_peer
 from repro.net.wire import WireHost
 from repro.obs.registry import MetricsRegistry
@@ -157,6 +157,47 @@ class TestWireNeverUnpickles:
             await hb.close()
 
         asyncio.run(main())
+
+    def test_json_nested_past_the_parser_stack_drops_the_connection(
+        self, tmp_path, caplog
+    ):
+        async def main():
+            mb = manager("QM.B")
+            hb = WireHost(mb)
+            await hb.serve_unix(str(tmp_path / "b.sock"))
+            reader, writer = await asyncio.open_unix_connection(
+                str(tmp_path / "b.sock")
+            )
+            writer.write(
+                encode_json_frame(FRAME_HELLO, {"manager": "QM.EVIL", "role": "sender"})
+                + encode_frame(
+                    FRAME_MSG, b'{"a":' + b"[" * 200000 + b"]" * 200000 + b"}"
+                )
+            )
+            await writer.drain()
+            # A valid CRC over an unparseable payload: the host answers the
+            # HELLO, then drops the connection like any other bad frame.
+            while await asyncio.wait_for(reader.read(4096), timeout=5.0):
+                pass
+            writer.close()
+            # A well-behaved peer connecting afterwards is served.
+            ma = manager("QM.A")
+            ha = WireHost(ma)
+            ha.connect_unix("QM.B", str(tmp_path / "b.sock"))
+            await ha.wait_connected("QM.B")
+            ma.put_remote("QM.B", "IN.Q", Message(body={"n": 1}))
+            await ha.drain_outbound()
+            assert [m.body for m in mb.browse("IN.Q")] == [{"n": 1}]
+            await ha.close()
+            await hb.close()
+
+        asyncio.run(main())
+        assert not [
+            record.getMessage()
+            for record in caplog.records
+            if "never retrieved" in record.getMessage()
+            or "Unhandled exception" in record.getMessage()
+        ]
 
     def test_unencodable_body_is_refused_before_the_spool(self, tmp_path):
         async def main():
