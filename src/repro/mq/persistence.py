@@ -209,7 +209,7 @@ _MESSAGE_FIELDS = (
 _PUT_DEFAULTS = (object(),) * 6 + (None, None, None, None, 4, None, 0, "persistent")
 
 
-def _put_row(queue_name: str, message: Message) -> tuple:
+def put_row(queue_name: str, message: Message) -> tuple:
     row = (
         "put", queue_name, message.message_id, message.body, message.properties,
         message.put_time_ms, message.correlation_id, message.source_manager,
@@ -222,7 +222,7 @@ def _put_row(queue_name: str, message: Message) -> tuple:
     return row[:end]
 
 
-def _expand_row(row: tuple, body_codec: Optional[Callable] = None) -> Dict[str, Any]:
+def expand_row(row: tuple, body_codec: Optional[Callable] = None) -> Dict[str, Any]:
     """The dict form of a row — what readers see and JSON lines spell out."""
     if row[0] != "put":
         return dict(zip(("op", "queue", "message_id"), row))
@@ -234,7 +234,7 @@ def _expand_row(row: tuple, body_codec: Optional[Callable] = None) -> Dict[str, 
 
 def encode_message(message: Message) -> Dict[str, Any]:
     """Encode a full message as a JSON-ready dict (trailing defaults omitted)."""
-    return _expand_row(_put_row("", message), encode_body)["message"]
+    return expand_row(put_row("", message), encode_body)["message"]
 
 
 def _check_sync_policy(sync: str) -> str:
@@ -282,7 +282,7 @@ class JsonLinesCodec:
 
     def encode_record(self, record: Any) -> bytes:
         if type(record) is tuple:
-            record = _expand_row(record, encode_body)
+            record = expand_row(record, encode_body)
         return json.dumps(record).encode("utf-8") + b"\n"
 
     def stage(self, records: Iterable[Any]) -> int:
@@ -377,7 +377,7 @@ def _load_run(payload: bytes) -> List[Dict[str, Any]]:
         while stream.tell() < end:
             record = load()
             if type(record) is tuple:
-                record = _expand_row(record)
+                record = expand_row(record)
             elif not isinstance(record, dict):
                 raise ValueError("not a record")
             records.append(record)
@@ -728,11 +728,11 @@ class Journal(ABC):
 
     def log_put(self, queue_name: str, message: Message) -> None:
         """Record a committed put of a persistent message."""
-        self.append(_put_row(queue_name, message))
+        self.append(put_row(queue_name, message))
 
     def log_put_many(self, puts: Iterable[Tuple[str, Message]]) -> None:
         """Record a batch of committed puts as one commit group."""
-        self.append_many(_put_row(queue_name, message) for queue_name, message in puts)
+        self.append_many(put_row(queue_name, message) for queue_name, message in puts)
 
     def log_get(self, queue_name: str, message_id: str) -> None:
         """Record a committed destructive get of a persistent message."""
@@ -753,7 +753,7 @@ class Journal(ABC):
             records.append(("define", queue_name))
             for message in queues[queue_name]:
                 if message.is_persistent():
-                    records.append(_put_row(queue_name, message))
+                    records.append(put_row(queue_name, message))
         records.append(("snapshot-end",))
         self.rewrite(records)
         self.rewrites += 1

@@ -16,11 +16,16 @@ the same thing, which buys three properties at once:
 * **Recovery = open.** :meth:`QueueManager.recover` on a store does no
   replay: it opens the database, clears the crashed manager's locks
   (presumed abort — backout counts are *not* bumped, matching journal
-  recovery), and is done.  Restart cost is O(locks held), not O(journal).
-* **Shared stores.** Two managers may attach to one store (the MSMQ
-  multi-branch-synchronization scenario).  Locks are qualified by the
-  owning manager's name so one manager's crash recovery releases only its
-  own in-flight transactions.
+  recovery), and is done.  Restart cost is one indexed ``COUNT`` per
+  queue, not O(journal).
+* **Shared stores.** One :class:`SqlQueueStore` instance owns its file
+  (``PRAGMA locking_mode=EXCLUSIVE``: a second open is a
+  :class:`PersistenceError` at once).  Managers attached to it (the MSMQ
+  multi-branch-synchronization scenario) share its per-queue depth,
+  locked count and expiry watermark, counted from the rows at attach and
+  kept in memory, so a commit group writes only the messages it stores or
+  removes.  Locks are qualified by the owning manager's name so one
+  manager's crash recovery releases only its own in-flight transactions.
 
 The scheme table in :mod:`repro.mq.persistence` lists the store under
 ``sqlstore:``, so ``QueueManager(..., journal="sqlstore:/path.db")`` just
@@ -38,11 +43,11 @@ messages.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import sqlite3
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EmptyQueueError, MQError, PersistenceError, QueueFullError
@@ -51,8 +56,9 @@ from repro.mq.persistence import (
     _check_sync_policy,
     decode_message,
     dump_data,
-    encode_message,
+    expand_row,
     load_data,
+    put_row,
 )
 from repro.mq.queue import DEFAULT_MAX_DEPTH, QueueStats
 from repro.mq.selectors import Selector
@@ -68,14 +74,12 @@ _SCHEMA = (
     """
     CREATE TABLE IF NOT EXISTS queues (
         name      TEXT PRIMARY KEY,
-        max_depth INTEGER NOT NULL,
-        depth     INTEGER NOT NULL DEFAULT 0,
-        locked    INTEGER NOT NULL DEFAULT 0
+        max_depth INTEGER NOT NULL
     )
     """,
     """
     CREATE TABLE IF NOT EXISTS messages (
-        seq            INTEGER PRIMARY KEY AUTOINCREMENT,
+        seq            INTEGER PRIMARY KEY,
         queue          TEXT NOT NULL,
         message_id     TEXT NOT NULL,
         correlation_id TEXT,
@@ -88,7 +92,7 @@ _SCHEMA = (
         lock_manager   TEXT,
         backout_count  INTEGER NOT NULL DEFAULT 0,
         properties     TEXT,
-        encoded        TEXT NOT NULL
+        encoded        BLOB NOT NULL
     )
     """,
     # Delivery order: one scan per get/browse, priority first, FIFO within.
@@ -101,9 +105,9 @@ _SCHEMA = (
     CREATE INDEX IF NOT EXISTS ix_messages_corr
         ON messages (queue, correlation_id)
     """,
-    # Partial index feeding the MIN(expiry) watermark; locked rows are
-    # excluded because the sweep cannot remove them (mirrors the linear
-    # queue's unlocked-only watermark).
+    # Partial indexes behind the counts taken at attach: the MIN(expiry)
+    # watermark, over unlocked rows only because the sweep cannot remove
+    # locked ones (mirrors the linear queue), and the locked count.
     """
     CREATE INDEX IF NOT EXISTS ix_messages_expiry
         ON messages (queue, expiry_ms)
@@ -114,32 +118,25 @@ _SCHEMA = (
         ON messages (queue, lock_manager, lock_owner)
         WHERE lock_owner IS NOT NULL
     """,
-    # Typed side index of property values: one row per (message, key)
+    # Typed side index of property values: one entry per (message, key)
     # for every value the selector type rules can match (strings, bools,
     # int64-range ints, finite floats).  Selector index hints seek here
     # (``seq IN (SELECT ...)``) so an equality/range/IN conjunct drives
     # the scan from a B-tree instead of parsing the JSON document per
-    # row.  Rows are written even when the message's ``properties``
+    # row.  Entries are written even when the message's ``properties``
     # column is opaque — each *individual* clean value is still
     # indexable, and a hint must see it to stay a necessary condition.
+    # The table is its own covering index (the hint subqueries read
+    # nothing but seq); the seq index serves the delete trigger.
     """
     CREATE TABLE IF NOT EXISTS message_props (
-        seq     INTEGER NOT NULL,
-        queue   TEXT NOT NULL,
-        key     TEXT NOT NULL,
-        kind    TEXT NOT NULL,
-        num_val NUMERIC,
-        str_val TEXT
-    )
-    """,
-    # Covering indexes: the hint subqueries read nothing but seq.
-    """
-    CREATE INDEX IF NOT EXISTS ix_props_num
-        ON message_props (queue, key, kind, num_val, seq)
-    """,
-    """
-    CREATE INDEX IF NOT EXISTS ix_props_str
-        ON message_props (queue, key, kind, str_val, seq)
+        queue TEXT NOT NULL,
+        key   TEXT NOT NULL,
+        kind  TEXT NOT NULL,
+        val   NOT NULL,
+        seq   INTEGER NOT NULL,
+        PRIMARY KEY (queue, key, kind, val, seq)
+    ) WITHOUT ROWID
     """,
     "CREATE INDEX IF NOT EXISTS ix_props_seq ON message_props (seq)",
     # Every removal path is a plain DELETE on messages (get, sweep,
@@ -187,50 +184,73 @@ def _queryable_properties(properties: Dict[str, Any]) -> Optional[str]:
         return None
 
 
-def _index_rows(properties: Dict[str, Any]) -> List[Tuple[str, str, Any, Any]]:
-    """(key, kind, num_val, str_val) rows for the typed property index.
+def _index_rows(
+    queue: str, seq: int, properties: Dict[str, Any]
+) -> List[Tuple[str, str, str, Any, int]]:
+    """(queue, key, kind, val, seq) entries for the typed property index.
 
     Kinds mirror the selector comparison rules — ``'n'`` numbers,
-    ``'s'`` strings, ``'b'`` booleans (stored as 1/0 in ``num_val``) —
-    so an index seek on (key, kind, value) matches exactly the rows
-    where the corresponding selector conjunct can be TRUE.  Values the
-    SQL type system cannot represent faithfully (out-of-int64 ints,
-    nan/inf) are skipped: selector literals with those values never
-    lower, so no hint can ask for them.
+    ``'s'`` strings, ``'b'`` booleans (stored as 1/0) — so an index seek
+    on (key, kind, value) matches exactly the rows where the
+    corresponding selector conjunct can be TRUE.  Values the SQL type
+    system cannot represent faithfully (out-of-int64 ints, nan/inf) are
+    skipped: selector literals with those values never lower, so no hint
+    can ask for them.
     """
-    rows: List[Tuple[str, str, Any, Any]] = []
+    rows: List[Tuple[str, str, str, Any, int]] = []
     for key, value in properties.items():
         if not isinstance(key, str):
             continue
         if isinstance(value, bool):
-            rows.append((key, "b", 1 if value else 0, None))
+            rows.append((queue, key, "b", 1 if value else 0, seq))
         elif isinstance(value, int):
             if _INT64_MIN <= value <= _INT64_MAX:
-                rows.append((key, "n", value, None))
+                rows.append((queue, key, "n", value, seq))
         elif isinstance(value, float):
             if value == value and value not in (float("inf"), float("-inf")):
-                rows.append((key, "n", value, None))
+                rows.append((queue, key, "n", value, seq))
         elif isinstance(value, str):
-            rows.append((key, "s", None, value))
+            rows.append((queue, key, "s", value, seq))
     return rows
 
 
-def _encode(message: Message) -> str:
-    """Full message for the ``encoded`` column (JSON, data-only pickle fallback)."""
-    record = encode_message(message)
+def _encode(message: Message) -> bytes:
+    """The ``encoded`` column: the journal's data-only put row."""
     try:
-        return json.dumps(record)
-    except (TypeError, ValueError):
-        # Exotic header values (encode_message made the body JSON-safe).
-        return "P" + base64.b64encode(dump_data(record)).decode("ascii")
+        return dump_data(put_row("", message))
+    except Exception as exc:  # noqa: BLE001 - report what message failed
+        raise PersistenceError(
+            f"message {message.message_id} is not journalable: {exc}"
+        ) from exc
 
 
-def _decode(encoded: str) -> Message:
-    if encoded.startswith("P"):
-        record = load_data(base64.b64decode(encoded[1:]))
-    else:
-        record = json.loads(encoded)
-    return decode_message(record)
+def _decode(encoded: bytes) -> Message:
+    """Inverse of :func:`_encode`: whatever the column holds, nothing runs,
+    and anything but a put row is a :class:`PersistenceError`."""
+    row = load_data(encoded)
+    if type(row) is not tuple or row[:1] != ("put",):
+        raise PersistenceError("queue store row holds no message")
+    return decode_message(expand_row(row)["message"])
+
+
+#: Exact minimum expiry over a queue's unlocked rows (``None``: none expires).
+_WATERMARK = (
+    "SELECT MIN(expiry_ms) FROM messages WHERE queue = ?1"
+    " AND expiry_ms IS NOT NULL AND lock_owner IS NULL"
+)
+#: A queue's live counts, each answered from an index.
+_COUNTS = (
+    "SELECT (SELECT COUNT(*) FROM messages WHERE queue = ?1),"
+    " (SELECT COUNT(*) FROM messages WHERE queue = ?1"
+    f" AND lock_owner IS NOT NULL), ({_WATERMARK})"
+)
+
+
+def _earlier(watermark: Optional[int], expiry_ms: Optional[int]) -> Optional[int]:
+    """The watermark once a row expiring at ``expiry_ms`` becomes visible."""
+    if expiry_ms is None:
+        return watermark
+    return expiry_ms if watermark is None else min(watermark, expiry_ms)
 
 
 class SqlQueueStore:
@@ -246,8 +266,10 @@ class SqlQueueStore:
     here) — so chaos episodes and the workload testbed can swap it in
     for a journal unchanged.
 
-    Several managers may attach to one store instance; single-threaded
-    (simulated-time) use is assumed, as everywhere in this repo.
+    The only instance open on its file; several managers may attach to
+    it, single-threaded (simulated-time) use assumed.  :attr:`counts`
+    holds each attached queue's ``total``, ``locked`` and ``watermark``
+    (exact minimum expiry of its unlocked rows), shared by its wrappers.
     """
 
     def __init__(
@@ -270,6 +292,8 @@ class SqlQueueStore:
         #: the journal write).  ``on_post_flush`` fires after COMMIT.
         self.on_pre_flush: Optional[Callable[[int], None]] = None
         self.on_post_flush: Optional[Callable[[int], None]] = None
+        #: queue name -> live counts (``total``, ``locked``, ``watermark``)
+        self.counts: Dict[str, SimpleNamespace] = {}
         self._tx_depth = 0
         self._tx_ops = 0
         self._post_commit_hooks: List[Callable[[], None]] = []
@@ -278,8 +302,11 @@ class SqlQueueStore:
         self._analyzed_at = 0
         try:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            self._con = sqlite3.connect(path)
+            # No busy wait: the file has one live instance, and a second
+            # open is refused at once instead of diverging from the first.
+            self._con = sqlite3.connect(path, timeout=0)
             self._con.isolation_level = None  # explicit BEGIN/COMMIT
+            self._con.execute("PRAGMA locking_mode=EXCLUSIVE")
             self._con.execute("PRAGMA journal_mode=WAL")
             synchronous = {"always": "FULL", "batch": "NORMAL", "none": "OFF"}
             self._con.execute(
@@ -288,12 +315,10 @@ class SqlQueueStore:
             # The selector grammar's LIKE is case-sensitive (JMS/SQL-92);
             # SQLite's default LIKE is not.  Required for pushdown parity.
             self._con.execute("PRAGMA case_sensitive_like=ON")
-            self._con.execute("PRAGMA busy_timeout=5000")
             for statement in _SCHEMA:
                 self._con.execute(statement)
-            self._con.commit()
         except (sqlite3.Error, OSError) as exc:
-            self._close_quietly()
+            self.close()
             raise PersistenceError(f"cannot open queue store {path}: {exc}")
 
     # -- transactions ---------------------------------------------------------
@@ -302,15 +327,14 @@ class SqlQueueStore:
     def transaction(self) -> Iterator["SqlQueueStore"]:
         """Group mutations into one SQL transaction (re-entrant).
 
-        Matches :meth:`Journal.batch` semantics: the outermost exit
-        commits even when the body raised (partially-applied state is the
-        body's business; durability of what *was* applied is ours), but a
+        The SQL transaction begins at the group's first mutation, so a
+        group that only reads costs no ``BEGIN``/``COMMIT``.  Matches
+        :meth:`Journal.batch` semantics: the outermost exit commits even
+        when the body raised (partially-applied state is the body's
+        business; durability of what *was* applied is ours), but a
         raising ``on_pre_flush`` hook rolls the whole group back — that is
         the chaos injector's "crash before the group hit disk" model.
         """
-        if self._tx_depth == 0:
-            self._execute("BEGIN IMMEDIATE")
-            self._tx_ops = 0
         self._tx_depth += 1
         try:
             yield self
@@ -325,15 +349,18 @@ class SqlQueueStore:
         return self.transaction()
 
     def _finish_transaction(self) -> None:
-        ops = self._tx_ops
-        if ops and self.on_pre_flush is not None:
-            try:
-                self.on_pre_flush(ops)
-            except BaseException:
-                self._execute("ROLLBACK")
-                self._post_commit_hooks.clear()
-                raise
-        self._execute("COMMIT")
+        ops, self._tx_ops = self._tx_ops, 0
+        if self._con.in_transaction:
+            if ops and self.on_pre_flush is not None:
+                try:
+                    self.on_pre_flush(ops)
+                except BaseException:
+                    self._execute("ROLLBACK")
+                    for name in self.counts:
+                        self._recount(name)
+                    self._post_commit_hooks.clear()
+                    raise
+            self._execute("COMMIT")
         if ops:
             try:
                 if self.on_post_flush is not None:
@@ -382,16 +409,34 @@ class SqlQueueStore:
         else:
             callback()
 
-    def _execute(self, sql: str, params: Tuple = ()) -> sqlite3.Cursor:
+    def _execute(
+        self, sql: str, params: Any = (), many: bool = False
+    ) -> sqlite3.Cursor:
         try:
+            if many:
+                return self._con.executemany(sql, params)
             return self._con.execute(sql, params)
         except sqlite3.Error as exc:
             raise PersistenceError(f"queue store {self.path}: {exc}")
 
     def _mutate(self, sql: str, params: Tuple = ()) -> sqlite3.Cursor:
+        """A counted write; the first one of a group opens its transaction
+        (callers hold :meth:`transaction`)."""
+        if not self._con.in_transaction:
+            self._execute("BEGIN IMMEDIATE")
         cursor = self._execute(sql, params)
         self._tx_ops += cursor.rowcount if cursor.rowcount > 0 else 0
         return cursor
+
+    def _recount(self, name: str) -> None:
+        """Set ``name``'s live counts from its rows."""
+        counts = self.counts.setdefault(name, SimpleNamespace())
+        counts.total, counts.locked, counts.watermark = self._execute(
+            _COUNTS, (name,)
+        ).fetchone()
+
+    def _refresh_watermark(self, name: str) -> None:
+        self.counts[name].watermark = self._execute(_WATERMARK, (name,)).fetchone()[0]
 
     # -- queue registry -------------------------------------------------------
 
@@ -400,16 +445,21 @@ class SqlQueueStore:
 
         When the queue already exists — another manager attached to the
         shared store defined it first — the stored ``max_depth`` wins, so
-        every attached manager enforces the same limit.
+        every attached manager enforces the same limit.  The first attach
+        counts the queue's rows into :attr:`counts`.
         """
-        with self.transaction():
-            self._mutate(
-                "INSERT OR IGNORE INTO queues (name, max_depth) VALUES (?, ?)",
-                (name, max_depth),
-            )
-            row = self._execute(
-                "SELECT max_depth FROM queues WHERE name = ?", (name,)
-            ).fetchone()
+        row = self._execute(
+            "SELECT max_depth FROM queues WHERE name = ?", (name,)
+        ).fetchone()
+        if row is None:
+            with self.transaction():
+                self._mutate(
+                    "INSERT INTO queues (name, max_depth) VALUES (?, ?)",
+                    (name, max_depth),
+                )
+            row = (max_depth,)
+        if name not in self.counts:
+            self._recount(name)
         return int(row[0])
 
     def queue_names(self) -> List[str]:
@@ -420,6 +470,8 @@ class SqlQueueStore:
         with self.transaction():
             self._mutate("DELETE FROM messages WHERE queue = ?", (name,))
             self._mutate("DELETE FROM queues WHERE name = ?", (name,))
+            if name in self.counts:
+                self._recount(name)
 
     # -- recovery -------------------------------------------------------------
 
@@ -442,23 +494,26 @@ class SqlQueueStore:
             self.on_pre_flush, self.on_post_flush = saved_hooks
 
     def _release_locks(self, manager_name: str) -> int:
+        # ``lock_owner IS NOT NULL`` lets both statements walk the partial
+        # ix_messages_locked (O(locks held)) instead of the whole table.
+        locked_by = "lock_owner IS NOT NULL AND lock_manager = ?"
         with self.transaction():
-            counts = self._execute(
-                "SELECT queue, COUNT(*) FROM messages"
-                " WHERE lock_manager = ? GROUP BY queue",
+            released = self._execute(
+                "SELECT queue, COUNT(*), MIN(expiry_ms) FROM messages"
+                f" WHERE {locked_by} GROUP BY queue",
                 (manager_name,),
             ).fetchall()
             self._mutate(
                 "UPDATE messages SET lock_owner = NULL, lock_manager = NULL"
-                " WHERE lock_manager = ?",
+                f" WHERE {locked_by}",
                 (manager_name,),
             )
-            for queue, n in counts:
-                self._mutate(
-                    "UPDATE queues SET locked = locked - ? WHERE name = ?",
-                    (n, queue),
-                )
-        return sum(n for _q, n in counts)
+            for queue, n, expiry_ms in released:
+                counts = self.counts.get(queue)
+                if counts is not None:  # else counted when attached
+                    counts.locked -= n
+                    counts.watermark = _earlier(counts.watermark, expiry_ms)
+        return sum(n for _q, n, _e in released)
 
     def recover(self) -> Tuple[List[str], Dict[str, List[Message]]]:
         """Read-only fold: (queue names, persistent messages per queue).
@@ -488,17 +543,7 @@ class SqlQueueStore:
         self._execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:
-        if getattr(self, "_con", None) is None:
-            return
-        try:
-            if self._tx_depth > 0:  # pragma: no cover - defensive
-                self._con.execute("ROLLBACK")
-            self._con.close()
-        except sqlite3.Error:  # pragma: no cover - defensive
-            pass
-        self._con = None
-
-    def _close_quietly(self) -> None:
+        """Release the file (an open transaction is rolled back)."""
         con = getattr(self, "_con", None)
         if con is not None:
             try:
@@ -515,11 +560,12 @@ class SqlMessageQueue:
     """:class:`~repro.mq.queue.MessageQueue` semantics over store rows.
 
     One wrapper per (manager, queue name); two managers attached to a
-    shared store each hold their own wrapper over the same rows.  Every
-    method matches the linear queue's observable behaviour — ordering,
-    lazy expiry sweeps, lock/commit/rollback bookkeeping, stats — with
-    the list scan replaced by indexed SQL and, for compiled selectors
-    that lower (:meth:`Selector.to_sql`), by a pushed-down WHERE clause.
+    shared store each hold their own wrapper over the same rows and the
+    same :attr:`SqlQueueStore.counts` entry.  Every method matches the
+    linear queue's observable behaviour — ordering, lazy expiry sweeps,
+    lock/commit/rollback bookkeeping, stats — with the list scan replaced
+    by indexed SQL and, for compiled selectors that lower
+    (:meth:`Selector.to_sql`), by a pushed-down WHERE clause.
     """
 
     def __init__(
@@ -541,6 +587,7 @@ class SqlMessageQueue:
         self.store = store
         self._clock = clock
         self._max_depth = store.define_queue(name, max_depth)
+        self._counts = store.counts[name]
         self._on_expired = on_expired
         self._put_listeners: List[Callable[[Message], None]] = []
         self.stats = QueueStats()
@@ -555,24 +602,9 @@ class SqlMessageQueue:
         """Register a callback fired after every successful put."""
         self._put_listeners.append(listener)
 
-    def _counts(self) -> Tuple[int, int]:
-        row = self.store._execute(
-            "SELECT depth, locked FROM queues WHERE name = ?", (self.name,)
-        ).fetchone()
-        if row is None:  # pragma: no cover - queue deleted underneath
-            return 0, 0
-        return int(row[0]), int(row[1])
-
-    def _bump(self, depth_delta: int, locked_delta: int = 0) -> None:
-        self.store._mutate(
-            "UPDATE queues SET depth = depth + ?, locked = locked + ?"
-            " WHERE name = ?",
-            (depth_delta, locked_delta, self.name),
-        )
-
     def _note_depth(self) -> None:
         if self.metrics is not None:
-            self.metrics.set_gauge(self._depth_gauge, self.total_depth())
+            self.metrics.set_gauge(self._depth_gauge, self._counts.total)
 
     # -- depth and inspection -------------------------------------------------
 
@@ -580,11 +612,10 @@ class SqlMessageQueue:
         """Visible depth (sweeps expired messages first, like any access)."""
         with self.store.transaction():
             self._sweep_expired()
-            total, locked = self._counts()
-        return total - locked
+        return self._counts.total - self._counts.locked
 
     def total_depth(self) -> int:
-        return self._counts()[0]
+        return self._counts.total
 
     @property
     def max_depth(self) -> int:
@@ -599,64 +630,55 @@ class SqlMessageQueue:
         """
         with self.store.transaction():
             self._sweep_expired()
-            total, _locked = self._counts()
-        return self._max_depth - total
+        return self._max_depth - self._counts.total
 
     def is_empty(self) -> bool:
         return self.depth() == 0
 
     # -- put ------------------------------------------------------------------
 
-    def _insert(self, stored: Message) -> None:
-        cursor = self.store._mutate(
-            "INSERT INTO messages (queue, message_id, correlation_id,"
-            " priority, put_time_ms, expiry_ms, delivery_mode, persistent,"
-            " backout_count, properties, encoded)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+    def _insert(self, messages: List[Message]) -> None:
+        """Store ``messages`` in order; caller holds the transaction.
+
+        Every row is encoded before the first is written, so a message
+        that is not data leaves nothing behind.
+        """
+        rows = [
             (
-                self.name,
-                stored.message_id,
-                stored.correlation_id,
-                stored.priority,
-                stored.put_time_ms,
-                stored.expiry_ms,
-                stored.delivery_mode.value,
-                1 if stored.is_persistent() else 0,
-                stored.backout_count,
-                _queryable_properties(stored.properties),
-                _encode(stored),
-            ),
-        )
-        # Side-index upkeep rides the same transaction but is not a
-        # logical record: _execute, not _mutate, so flush/record counters
-        # (and fault plans keyed on them) see one op per message.
-        seq = cursor.lastrowid
-        for key, kind, num_val, str_val in _index_rows(stored.properties):
-            self.store._execute(
-                "INSERT INTO message_props"
-                " (seq, queue, key, kind, num_val, str_val)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (seq, self.name, key, kind, num_val, str_val),
+                self.name, m.message_id, m.correlation_id, m.priority,
+                m.put_time_ms, m.expiry_ms, m.delivery_mode.value,
+                1 if m.is_persistent() else 0, m.backout_count,
+                _queryable_properties(m.properties), _encode(m),
             )
+            for m in messages
+        ]  # fmt: skip
+        store, counts = self.store, self._counts
+        for message, row in zip(messages, rows):
+            seq = store._mutate(
+                "INSERT INTO messages (queue, message_id, correlation_id,"
+                " priority, put_time_ms, expiry_ms, delivery_mode, persistent,"
+                " backout_count, properties, encoded)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                row,
+            ).lastrowid
+            # Side-index upkeep rides the same transaction but is not a
+            # logical record: _execute, not _mutate, so flush/record
+            # counters (and fault plans keyed on them) see one op per
+            # message.
+            entries = _index_rows(self.name, seq, message.properties)
+            if entries:
+                store._execute(
+                    "INSERT INTO message_props (queue, key, kind, val, seq)"
+                    " VALUES (?, ?, ?, ?, ?)",
+                    entries,
+                    many=True,
+                )
+            counts.total += 1
+            counts.watermark = _earlier(counts.watermark, message.expiry_ms)
 
     def put(self, message: Message, notify: bool = True) -> Message:
         """Insert in priority order; raises :class:`QueueFullError` at cap."""
-        with self.store.transaction():
-            self._sweep_expired()
-            total, _locked = self._counts()
-            if total >= self._max_depth:
-                raise QueueFullError(self.name, self._max_depth)
-            stored = message.copy(put_time_ms=self._clock.now_ms())
-            self._insert(stored)
-            self._bump(+1)
-            self.stats.puts += 1
-            self.stats.high_water_depth = max(
-                self.stats.high_water_depth, total + 1
-            )
-            self._note_depth()
-        if notify:
-            self.notify_put(stored)
-        return stored
+        return self._put([message], notify)[0]
 
     def notify_put(self, stored: Message) -> None:
         for listener in self._put_listeners:
@@ -666,19 +688,19 @@ class SqlMessageQueue:
         self, messages: List[Message], notify: bool = True
     ) -> List[Message]:
         """All-or-nothing batch insert (one transaction, one depth check)."""
+        return self._put(list(messages), notify)
+
+    def _put(self, messages: List[Message], notify: bool) -> List[Message]:
         with self.store.transaction():
             self._sweep_expired()
-            messages = list(messages)
-            total, _locked = self._counts()
+            total = self._counts.total
             if total + len(messages) > self._max_depth:
                 raise QueueFullError(self.name, self._max_depth)
             if not messages:
                 return []
             now = self._clock.now_ms()
             stored_batch = [m.copy(put_time_ms=now) for m in messages]
-            for stored in stored_batch:
-                self._insert(stored)
-            self._bump(+len(stored_batch))
+            self._insert(stored_batch)
             self.stats.puts += len(stored_batch)
             self.stats.high_water_depth = max(
                 self.stats.high_water_depth, total + len(stored_batch)
@@ -721,32 +743,18 @@ class SqlMessageQueue:
             for hint in sql.index_hints:
                 if hint[0] == "eq":
                     _op, key, kind, value = hint
-                    column = "str_val" if kind == "s" else "num_val"
-                    where += (
-                        " AND seq IN (SELECT seq FROM message_props"
-                        f" WHERE queue = ? AND key = ? AND kind = ?"
-                        f" AND {column} = ?)"
-                    )
-                    params.extend([self.name, key, kind, value])
+                    test, values = "= ?", [value]
                 elif hint[0] == "range":
                     _op, key, low, high = hint
-                    where += (
-                        " AND seq IN (SELECT seq FROM message_props"
-                        " WHERE queue = ? AND key = ? AND kind = 'n'"
-                        " AND num_val BETWEEN ? AND ?)"
-                    )
-                    params.extend([self.name, key, low, high])
+                    kind, test, values = "n", "BETWEEN ? AND ?", [low, high]
                 else:  # "in"
-                    _op, key, options = hint
-                    marks = ", ".join("?" for _ in options)
-                    where += (
-                        " AND seq IN (SELECT seq FROM message_props"
-                        " WHERE queue = ? AND key = ? AND kind = 's'"
-                        f" AND str_val IN ({marks}))"
-                    )
-                    params.append(self.name)
-                    params.append(key)
-                    params.extend(options)
+                    _op, key, values = hint
+                    kind, test = "s", f"IN ({', '.join('?' for _ in values)})"
+                where += (
+                    " AND seq IN (SELECT seq FROM message_props"
+                    f" WHERE queue = ? AND key = ? AND kind = ? AND val {test})"
+                )
+                params.extend([self.name, key, kind, *values])
             if sql.uses_properties:
                 # Opaque rows (properties NULL) bypass the clause and are
                 # rechecked in Python below.
@@ -778,10 +786,11 @@ class SqlMessageQueue:
     def _take(
         self, seq: int, message: Message, lock_owner: Optional[str]
     ) -> None:
-        """Remove (or lock) one row; caller holds the transaction."""
+        """Remove (or lock) one unlocked row; caller holds the transaction."""
+        counts = self._counts
         if lock_owner is None:
             self.store._mutate("DELETE FROM messages WHERE seq = ?", (seq,))
-            self._bump(-1)
+            counts.total -= 1
             self._note_depth()
         else:
             self.store._mutate(
@@ -789,7 +798,9 @@ class SqlMessageQueue:
                 " WHERE seq = ?",
                 (lock_owner, self.owner or "", seq),
             )
-            self._bump(0, +1)
+            counts.locked += 1
+        if message.expiry_ms is not None and message.expiry_ms == counts.watermark:
+            self.store._refresh_watermark(self.name)
         self.stats.gets += 1
 
     def get(
@@ -897,7 +908,7 @@ class SqlMessageQueue:
 
     # -- transactional locking ------------------------------------------------
 
-    def _locked_rows(self, lock_owner: str) -> List[Tuple[int, str]]:
+    def _locked_rows(self, lock_owner: str) -> List[Tuple[int, bytes]]:
         return self.store._execute(
             "SELECT seq, encoded FROM messages WHERE queue = ?"
             " AND lock_owner = ? AND lock_manager = ?"
@@ -918,7 +929,8 @@ class SqlMessageQueue:
                     " AND lock_manager = ?",
                     (self.name, lock_owner, self.owner or ""),
                 )
-                self._bump(-len(rows), -len(rows))
+                self._counts.total -= len(rows)
+                self._counts.locked -= len(rows)
             self._note_depth()
         return [_decode(encoded) for _seq, encoded in rows]
 
@@ -934,16 +946,17 @@ class SqlMessageQueue:
             if row is None:
                 raise EmptyQueueError(self.name)
             self.store._mutate("DELETE FROM messages WHERE seq = ?", (row[0],))
-            self._bump(-1, -1)
+            self._counts.total -= 1
+            self._counts.locked -= 1
             self._note_depth()
         return _decode(row[1])
 
     def rollback_locked(self, lock_owner: str) -> List[Message]:
         """Unlock in place, bumping backout counts (redelivery order kept)."""
+        counts = self._counts
         with self.store.transaction():
-            rows = self._locked_rows(lock_owner)
             rolled_back: List[Message] = []
-            for seq, encoded in rows:
+            for seq, encoded in self._locked_rows(lock_owner):
                 message = _decode(encoded)
                 message = message.copy(backout_count=message.backout_count + 1)
                 self.store._mutate(
@@ -952,10 +965,10 @@ class SqlMessageQueue:
                     " WHERE seq = ?",
                     (message.backout_count, _encode(message), seq),
                 )
+                counts.locked -= 1
+                counts.watermark = _earlier(counts.watermark, message.expiry_ms)
                 self.stats.backouts += 1
                 rolled_back.append(message)
-            if rows:
-                self._bump(0, -len(rows))
         return rolled_back
 
     # -- maintenance ----------------------------------------------------------
@@ -968,8 +981,8 @@ class SqlMessageQueue:
                 (self.name,),
             )
             removed = cursor.rowcount if cursor.rowcount > 0 else 0
-            if removed:
-                self._bump(-removed)
+            self._counts.total -= removed
+            self._counts.watermark = None  # no unlocked row is left
             self._note_depth()
         return removed
 
@@ -988,16 +1001,10 @@ class SqlMessageQueue:
             self.store._mutate(
                 "DELETE FROM messages WHERE queue = ?", (self.name,)
             )
+            self.store._recount(self.name)
             # Insert in delivery order so seq reproduces FIFO-within-
             # priority for messages that tie on priority.
-            for message in sorted(
-                messages, key=lambda m: -m.priority
-            ):
-                self._insert(message)
-            self.store._mutate(
-                "UPDATE queues SET depth = ?, locked = 0 WHERE name = ?",
-                (len(messages), self.name),
-            )
+            self._insert(sorted(messages, key=lambda m: -m.priority))
             self._note_depth()
 
     # -- expiry ---------------------------------------------------------------
@@ -1005,50 +1012,43 @@ class SqlMessageQueue:
     def _sweep_expired(self) -> None:
         """Lazily dead-letter expired unlocked rows (watermark-gated).
 
-        The watermark is an indexed ``MIN(expiry_ms)`` over unlocked rows
-        rather than Python state: with two managers attached to one
-        store, a cached watermark in either manager would go stale the
-        moment the other one puts an expiring message.
+        The watermark is the store's in-memory minimum expiry over this
+        queue's unlocked rows, shared by every manager attached to the
+        store, so the check costs no statement until a row has expired.
         """
-        row = self.store._execute(
-            "SELECT MIN(expiry_ms) FROM messages WHERE queue = ?"
-            " AND expiry_ms IS NOT NULL AND lock_owner IS NULL",
-            (self.name,),
-        ).fetchone()
-        if row is None or row[0] is None:
-            return
+        watermark = self._counts.watermark
         now = self._clock.now_ms()
-        if now <= row[0]:
+        if watermark is None or now <= watermark:
             return
-        swept_rows = self.store._execute(
-            "SELECT seq, encoded FROM messages WHERE queue = ?"
-            " AND lock_owner IS NULL AND expiry_ms IS NOT NULL"
-            " AND expiry_ms < ? ORDER BY priority DESC, seq",
-            (self.name, now),
-        ).fetchall()
-        if not swept_rows:
-            return  # pragma: no cover - watermark guaranteed one row
-        self.store._mutate(
-            "DELETE FROM messages WHERE queue = ? AND lock_owner IS NULL"
-            " AND expiry_ms IS NOT NULL AND expiry_ms < ?",
-            (self.name, now),
-        )
-        self._bump(-len(swept_rows))
-        self.stats.expired += len(swept_rows)
-        self._note_depth()
-        for _seq, encoded in swept_rows:
-            message = _decode(encoded)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    STAGE_EXPIRED,
-                    at_ms=now,
-                    cmid=cmid_of(message),
-                    manager=self.owner or None,
-                    queue=self.name,
-                    message_id=message.message_id,
-                )
-            if self._on_expired is not None:
-                self._on_expired(message)
+        with self.store.transaction():
+            swept_rows = self.store._execute(
+                "SELECT seq, encoded FROM messages WHERE queue = ?"
+                " AND lock_owner IS NULL AND expiry_ms IS NOT NULL"
+                " AND expiry_ms < ? ORDER BY priority DESC, seq",
+                (self.name, now),
+            ).fetchall()
+            self.store._mutate(
+                "DELETE FROM messages WHERE queue = ? AND lock_owner IS NULL"
+                " AND expiry_ms IS NOT NULL AND expiry_ms < ?",
+                (self.name, now),
+            )
+            self._counts.total -= len(swept_rows)
+            self.store._refresh_watermark(self.name)
+            self.stats.expired += len(swept_rows)
+            self._note_depth()
+            for _seq, encoded in swept_rows:
+                message = _decode(encoded)
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        STAGE_EXPIRED,
+                        at_ms=now,
+                        cmid=cmid_of(message),
+                        manager=self.owner or None,
+                        queue=self.name,
+                        message_id=message.message_id,
+                    )
+                if self._on_expired is not None:
+                    self._on_expired(message)
 
     def __repr__(self) -> str:
         return f"SqlMessageQueue({self.name!r}, depth={self.depth()})"

@@ -9,6 +9,7 @@ URL, and the journal-shaped chaos surface (fault hooks, read-only
 """
 
 import os
+import time
 
 import pytest
 
@@ -299,6 +300,24 @@ class TestManagerStoreMode:
         assert isinstance(resolved, SqlQueueStore)
         assert resolved.sync_policy == "batch"
         resolved.close()
+
+    def test_a_second_open_of_a_live_file_is_refused_at_once(self, tmp_path):
+        path = str(tmp_path / "one.db")
+        first = SqlQueueStore(path, sync="none")
+        started = time.monotonic()
+        with pytest.raises(PersistenceError):
+            SqlQueueStore(path, sync="none")
+        assert time.monotonic() - started < 1.0  # no busy wait
+        first.close()
+
+    def test_the_file_opens_again_once_its_instance_closed(self, clock, tmp_path):
+        path = str(tmp_path / "one.db")
+        first = SqlQueueStore(path, sync="none")
+        QueueManager("QM.O", clock, journal=first).define_queue("O.Q")
+        first.close()
+        second = SqlQueueStore(path, sync="none")
+        assert "O.Q" in second.queue_names()
+        second.close()
 
     def test_bad_sync_policy_refused(self, tmp_path):
         with pytest.raises(PersistenceError):

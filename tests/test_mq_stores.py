@@ -159,10 +159,9 @@ class TestStoreConformance:
             manager.put("A.Q", Message(body=1))
             manager.put("A.Q", Message(body=2))
         assert metrics.counter("journal.flushes") - flushes == 1
-        # A log writes one record per put; the SQL store counts the row
-        # insert and the depth update of each put.  Either way the
-        # registry agrees with the store's own counter.
-        assert store.records_written - written == (4 if scheme == "sqlstore" else 2)
+        # One record per put on every scheme (the SQL store's row insert),
+        # and the registry agrees with the store's own counter.
+        assert store.records_written - written == 2
         assert metrics.counter("journal.records") - records == (
             store.records_written - written
         )
@@ -291,11 +290,15 @@ class TestNoStoreCanMakeARestartRunCode:
             QueueManager.recover("QM.S", clock, open_store("file", tmp_path))
         assert PWNED == []
 
-    def test_sqlstore_row_starting_with_p(self, clock, tmp_path):
+    def refused_at_first_read(self, clock, tmp_path, tamper):
+        """Replace the stored row's ``encoded`` column with
+        ``tamper(honest value)``; the restarted store must refuse it."""
         path = self.crashed("sqlstore", clock, tmp_path)
-        blob = base64.b64encode(pickle.dumps(Exploit())).decode("ascii")
         with sqlite3.connect(path) as con:
-            assert con.execute("UPDATE messages SET encoded = ?", ("P" + blob,)).rowcount == 1
+            (honest,) = con.execute("SELECT encoded FROM messages").fetchone()
+            assert con.execute(
+                "UPDATE messages SET encoded = ?", (tamper(honest),)
+            ).rowcount == 1
         con.close()
         # Opening the database is the whole restart (rows are not replayed),
         # so the refusal comes where the row is first read.
@@ -306,6 +309,22 @@ class TestNoStoreCanMakeARestartRunCode:
             recovered.store.recover()
         assert PWNED == []
         recovered.store.close()
+
+    def test_sqlstore_row_starting_with_p(self, clock, tmp_path):
+        blob = base64.b64encode(pickle.dumps(Exploit())).decode("ascii")
+        self.refused_at_first_read(clock, tmp_path, lambda _honest: "P" + blob)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda _honest: pickle.dumps(Exploit()),
+            lambda honest: honest[: len(honest) // 2],
+            lambda _honest: json.dumps(encode_message(Message(body="honest"))),
+        ],
+        ids=["pickle naming a global", "truncated row", "json document row"],
+    )
+    def test_sqlstore_row_that_is_not_a_data_only_put_row(self, tamper, clock, tmp_path):
+        self.refused_at_first_read(clock, tmp_path, tamper)
 
 
 @pytest.mark.parametrize("scheme", LOG_SCHEMES)

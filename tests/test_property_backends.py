@@ -7,7 +7,7 @@ import tempfile
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import MQError
 from repro.mq.manager import QueueManager
@@ -17,7 +17,7 @@ from repro.mq.pubsub import TopicBroker, topic_matches, validate_pattern
 from repro.mq.queue import MessageQueue
 from repro.mq.sqlstore import SqlMessageQueue, SqlQueueStore
 from repro.sim.clock import SimulatedClock
-from tests.test_property_mq import QueueOpDriver, queue_ops
+from tests.test_property_mq import QueueOpDriver, queue_op
 
 # -- topic_matches ----------------------------------------------------------
 
@@ -217,23 +217,100 @@ def test_same_ops_recover_identically_on_every_backend(op_list):
 # -- keyed lookups: both queue classes answer alike ---------------------------
 
 
+class SimulatedCrash(BaseException):
+    """A crash before the commit group reached the store."""
+
+
+def crash_before_flush(_ops):
+    raise SimulatedCrash
+
+
+#: The queue ops plus what only a store does: a commit group a pre-flush
+#: crash rolls back, presumed-abort lock release, queue deletion, restart.
+lockstep_ops = st.lists(
+    st.one_of(
+        queue_op,
+        st.tuples(st.just("crashed"), queue_op),
+        st.tuples(st.just("release_locks")),
+        st.tuples(st.just("delete_queue")),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=40,
+)
+
+
+def assert_counts_match_rows(store, name):
+    """The store's in-memory counts are what its rows say."""
+    counts = store.counts[name]
+    assert (counts.total, counts.locked, counts.watermark) == store._con.execute(
+        "SELECT COUNT(*), COUNT(lock_owner),"
+        " MIN(CASE WHEN lock_owner IS NULL THEN expiry_ms END)"
+        " FROM messages WHERE queue = ?",
+        (name,),
+    ).fetchone()
+
+
+EXPIRES_AT_5, EXPIRES_AT_50 = (4, None, 5, False), (4, None, 50, False)
+
+
 @settings(max_examples=60, deadline=None)
-@given(queue_ops)
+@given(lockstep_ops)
+# Every way the watermark moves: a lock hides the earliest expiry, a
+# rollback and a lock release show it again, a sweep and a purge pass it.
+@example([
+    ("put", EXPIRES_AT_5), ("put", EXPIRES_AT_50), ("get", "tx1"),
+    ("rollback", "tx1"), ("get", "tx2"), ("release_locks",),
+    ("advance", 10), ("purge",),
+])  # fmt: skip
+# Every way the counts are re-read: a rolled-back group, a reopen with a
+# lock held, a deleted queue.
+@example([
+    ("put", EXPIRES_AT_5), ("crashed", ("put", EXPIRES_AT_50)),
+    ("crashed", ("get", None)), ("get", "tx1"), ("reopen",),
+    ("delete_queue",), ("put", EXPIRES_AT_50),
+])  # fmt: skip
 def test_sql_queue_answers_keyed_lookups_like_the_memory_queue(op_list):
     """The op sequences of ``test_property_mq`` on a ``MessageQueue`` and a
     ``SqlMessageQueue`` in lockstep: every op has the same outcome and
     every lookup — by id, by correlation, collisions, locked sets — the
-    same answer in the same order, lock and expiry visibility included."""
+    same answer in the same order, lock and expiry visibility included.
+    After every op the store's depth, locked count and expiry watermark
+    equal what its rows say, whatever rolled back, unlocked or reopened."""
     clock = SimulatedClock()
     with tempfile.TemporaryDirectory() as tmpdir:
-        store = SqlQueueStore(f"{tmpdir}/lockstep.db", sync="none")
+        path = f"{tmpdir}/lockstep.db"
+        store = SqlQueueStore(path, sync="none")
         try:
             memory = MessageQueue("IX.Q", clock)
             sql = SqlMessageQueue(store, "IX.Q", clock)
             driver = QueueOpDriver(clock, [memory, sql])
             for op in op_list:
-                from_memory, from_sql = driver.apply(op)
-                assert from_sql == from_memory, op
+                if op[0] == "crashed":  # the SQL queue alone; nothing survives
+                    driver.queues = [sql]
+                    store.on_pre_flush = crash_before_flush
+                    try:
+                        with store.transaction():
+                            driver.apply(op[1])
+                    except SimulatedCrash:
+                        pass
+                    store.on_pre_flush = None
+                elif op[0] == "release_locks":  # unlocked in place, no backout
+                    store.release_locks("")
+                    memory.restore(memory.snapshot())
+                elif op[0] == "delete_queue":
+                    store.delete_queue("IX.Q")
+                    memory = MessageQueue("IX.Q", clock)
+                    sql = SqlMessageQueue(store, "IX.Q", clock)
+                elif op[0] == "reopen":
+                    store.close()
+                    store = SqlQueueStore(path, sync="none")
+                    sql = SqlMessageQueue(store, "IX.Q", clock)
+                else:
+                    from_memory, from_sql = driver.apply(op)
+                    assert from_sql == from_memory, op
+                driver.queues = [memory, sql]
+                assert_counts_match_rows(store, "IX.Q")
                 assert driver.observe(sql) == driver.observe(memory), op
+                assert_counts_match_rows(store, "IX.Q")
         finally:
             store.close()

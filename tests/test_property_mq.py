@@ -183,22 +183,20 @@ message_specs = st.tuples(
     st.sampled_from([None, 5, 50]),  # expiry, relative to now
     st.booleans(),                   # reuse the id of the previous message?
 )
-queue_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), message_specs),
-        st.tuples(st.just("put_many"), st.lists(message_specs, max_size=4)),
-        st.tuples(st.just("get"), owners_or_none),
-        st.tuples(st.just("get_selector"), st.sampled_from(CORRELATIONS), owners_or_none),
-        st.tuples(st.just("get_by_id"), picks, owners_or_none),
-        st.tuples(st.just("remove_locked"), st.sampled_from(OWNERS), picks),
-        st.tuples(st.just("commit"), st.sampled_from(OWNERS)),
-        st.tuples(st.just("rollback"), st.sampled_from(OWNERS)),
-        st.tuples(st.just("purge")),
-        st.tuples(st.just("restore"), picks),
-        st.tuples(st.just("advance"), st.integers(min_value=1, max_value=60)),
-    ),
-    max_size=40,
+queue_op = st.one_of(
+    st.tuples(st.just("put"), message_specs),
+    st.tuples(st.just("put_many"), st.lists(message_specs, max_size=4)),
+    st.tuples(st.just("get"), owners_or_none),
+    st.tuples(st.just("get_selector"), st.sampled_from(CORRELATIONS), owners_or_none),
+    st.tuples(st.just("get_by_id"), picks, owners_or_none),
+    st.tuples(st.just("remove_locked"), st.sampled_from(OWNERS), picks),
+    st.tuples(st.just("commit"), st.sampled_from(OWNERS)),
+    st.tuples(st.just("rollback"), st.sampled_from(OWNERS)),
+    st.tuples(st.just("purge")),
+    st.tuples(st.just("restore"), picks),
+    st.tuples(st.just("advance"), st.integers(min_value=1, max_value=60)),
 )
+queue_ops = st.lists(queue_op, max_size=40)
 
 
 def _seen(message):

@@ -9,6 +9,8 @@ the queue's own counter; *visits* are calls of ``Message.is_expired`` /
 ends up calling (visibility check, control-property decode).
 """
 
+import re
+
 import pytest
 
 from repro.core.builder import destination, destination_set
@@ -274,3 +276,54 @@ def test_restart_decodes_only_the_messages_that_survive(backend, monkeypatch, tm
     assert (journal.recover_records, journal.recover_live) == (1_901, 100)
     assert [m.body for m in recovered.browse("A.Q")] == list(range(900, 1_000))
     journal.close()
+
+
+def test_a_sql_store_writes_messages_not_bookkeeping(tmp_path):
+    """Every statement a fan-out-8 conditional message costs on ``sqlstore``
+    stores: after set-up nothing touches the queue registry, nothing asks
+    for an expiry watermark while no message carries an expiry, a
+    transaction begins only for a commit group that writes, and what it
+    writes is one row per put or get."""
+    bed = Testbed(
+        FANOUT8,
+        latency_ms=1,
+        journaled=True,
+        journal_factory=journal_factory_for("sqlstore", str(tmp_path), sync="none"),
+    )
+    condition = condition_for(bed, FANOUT8)
+    managers = [bed.sender_manager] + [node.manager for node in bed.receivers.values()]
+
+    def conditional_message():
+        cmid = send(bed, condition)
+        for name in FANOUT8:
+            assert read(bed, name).cmid == cmid
+        bed.run_all()
+        assert bed.service.outcome(cmid).outcome is MessageOutcome.SUCCESS
+        bed.service.poll_outcome_notifications()
+
+    def totals():
+        stores = bed.journals.values()
+        stats = [m.queue(name).stats for m in managers for name in m.queue_names()]
+        return (
+            sum(store.flush_count for store in stores),
+            sum(store.records_written for store in stores),
+            sum(s.puts + s.gets for s in stats),
+        )
+
+    conditional_message()  # set-up: queue definitions and the like
+    statements = []
+    for store in bed.journals.values():
+        store._con.set_trace_callback(statements.append)
+    before = totals()
+    for _ in range(3):
+        conditional_message()
+    flushes, records, puts_and_gets = (a - b for a, b in zip(totals(), before))
+    for store in bed.journals.values():
+        store._con.set_trace_callback(None)
+    assert flushes > 0
+    assert [s for s in statements if re.search(r"\bqueues\b", s)] == []
+    assert [s for s in statements if "MIN(expiry_ms)" in s] == []
+    assert len([s for s in statements if s.startswith("BEGIN")]) == flushes
+    assert records == puts_and_gets
+    for journal in bed.journals.values():
+        journal.close()
