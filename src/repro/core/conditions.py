@@ -151,8 +151,12 @@ class Condition:
 
     # -- validation -------------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Validate this subtree; raises :class:`ConditionValidationError`."""
+    def validate(self, default_manager: Optional[str] = None) -> None:
+        """Validate this subtree; raises :class:`ConditionValidationError`.
+
+        ``default_manager`` is the sender's manager name, standing in for
+        leaves that name none when destinations are compared.
+        """
         raise NotImplementedError
 
 
@@ -198,7 +202,7 @@ class Destination(Condition):
         """True if this destination itself demands processing."""
         return self.msg_processing_time is not None
 
-    def validate(self) -> None:
+    def validate(self, default_manager: Optional[str] = None) -> None:
         """Leaf validation.
 
         Field shapes were enforced at construction.  Any combination of
@@ -306,7 +310,7 @@ class DestinationSet(Condition):
             )
         )
 
-    def validate(self) -> None:
+    def validate(self, default_manager: Optional[str] = None) -> None:
         if not self._members and not self.has_anonymous_conditions():
             raise ConditionValidationError(
                 "a DestinationSet needs members or anonymous conditions"
@@ -343,18 +347,19 @@ class DestinationSet(Condition):
             raise ConditionValidationError(
                 "min/max_nr_processing require msg_processing_time on the set"
             )
-        # Duplicate fully-identical destinations make ack assignment
-        # ambiguous; reject them early.
+        # Duplicate destinations make ack assignment ambiguous (the later
+        # leaf takes every ack); reject them early.  A leaf naming the
+        # sender's own manager is the same destination as one naming none.
         seen = set()
         for dest in self.destinations():
-            key = (dest.manager, dest.queue, dest.recipient)
+            key = (dest.manager or default_manager, dest.queue, dest.recipient)
             if key in seen:
                 raise ConditionValidationError(
                     f"duplicate destination {key!r} in one condition tree"
                 )
             seen.add(key)
         for child in self._members:
-            child.validate()
+            child.validate(default_manager)
 
     def __repr__(self) -> str:
         parts = [f"members={len(self._members)}"]

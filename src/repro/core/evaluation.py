@@ -8,8 +8,13 @@ queue and interprets them accordingly."  The manager:
 * drains ``DS.ACK.Q`` (it subscribes to the queue, so acknowledgments are
   processed the moment the middleware delivers them), sorting
   acknowledgments to the right record by conditional message id;
-* re-runs the pure satisfaction algorithm on every acknowledgment and at
-  the per-message evaluation timeout;
+* keeps a :class:`~repro.core.satisfaction.ConditionTracker` per pending
+  record, built at its first acknowledgment: each acknowledgment moves
+  its counters on one leaf-to-root path, O(depth) whatever the fan-out,
+  and a SATISFIED state decides with no reasons (reasons name only
+  contributors that are not SATISFIED);
+* names the reasons once per message, from the tracker — at a violation
+  or at the evaluation timeout;
 * on a final state, emits an :class:`~repro.core.outcome.OutcomeRecord`
   through a callback (the service turns it into outcome notifications and
   outcome actions).
@@ -24,7 +29,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.acks import Acknowledgment, acks_from_message
 from repro.core.conditions import Condition
 from repro.core.outcome import MessageOutcome, OutcomeRecord
-from repro.core.satisfaction import EvalState, evaluate_condition
+from repro.core.satisfaction import ConditionTracker, EvalState
+# Not called here: kept importable from this module, where profilers
+# look it up by name to wrap it.
+from repro.core.satisfaction import evaluate_condition  # noqa: F401
 from repro.errors import UnknownConditionalMessageError
 from repro.mq.manager import QueueManager
 from repro.obs.trace import STAGE_EVALUATE, STAGE_OUTCOME
@@ -41,6 +49,12 @@ class EvaluationRecord:
     evaluation_timeout_ms: Optional[int]
     acks: List[Acknowledgment] = field(default_factory=list)
     decided: Optional[OutcomeRecord] = None
+    #: Incremental condition state, from the first acknowledgment to the
+    #: decision.  A restart re-registers every in-flight message at once;
+    #: trackers for all of them, alive and unacknowledged, would cost it
+    #: a second full garbage-collection pass.  Decided records are kept,
+    #: their trackers are not.
+    tracker: Optional[ConditionTracker] = None
     timeout_event: Optional[ScheduledEvent] = None
     #: Registration generation stamped by the manager.  Timeout-wheel
     #: entries and scheduler timeout events carry the generation of the
@@ -209,6 +223,9 @@ class EvaluationManager:
                     if record is None or not record.pending:
                         continue
                     record.acks.append(ack)
+                    if record.tracker is None:
+                        record.tracker = self._tracker(record)
+                    record.tracker.add(ack)
                     touched[ack.cmid] = None
                     if self.manager.metrics is not None:
                         # Send -> acknowledgment processed at the sender;
@@ -225,7 +242,12 @@ class EvaluationManager:
     # -- evaluation --------------------------------------------------------------------
 
     def evaluate(self, cmid: str) -> EvalState:
-        """Re-run the satisfaction algorithm for one message."""
+        """Decide one message if its condition state is final.
+
+        The record's tracker (a throwaway one while the message has no
+        acknowledgment) gives the state; only a violation or the deadline
+        (``final=True``) walks its required terms for the reasons.
+        """
         record = self.record(cmid)
         if not record.pending:
             return (
@@ -234,27 +256,32 @@ class EvaluationManager:
                 else EvalState.VIOLATED
             )
         self.stats.evaluations_run += 1
-        result = evaluate_condition(
-            record.condition,
-            record.acks,
-            record.send_time_ms,
-            self.manager.clock.now_ms(),
-            evaluation_timeout_ms=record.evaluation_timeout_ms,
-            default_manager=self.manager.name,
-        )
+        now = self.manager.clock.now_ms()
+        timeout = record.evaluation_timeout_ms
+        final = timeout is not None and now >= record.send_time_ms + timeout
+        tracker = record.tracker or self._tracker(record)
+        state, reasons = tracker.state(), []
+        if final or state is EvalState.VIOLATED:
+            result = tracker.result(final)
+            state, reasons = result.state, result.reasons
         tracer = self.manager.tracer
         if tracer.enabled:
             tracer.emit(
                 STAGE_EVALUATE,
-                at_ms=self.manager.clock.now_ms(),
+                at_ms=now,
                 cmid=cmid,
                 manager=self.manager.name,
-                state=result.state.name,
+                state=state.name,
                 acks=len(record.acks),
             )
-        if result.is_final():
-            self._decide(record, result.state, result.reasons)
-        return result.state
+        if state is not EvalState.PENDING:
+            self._decide(record, state, reasons)
+        return state
+
+    def _tracker(self, record: EvaluationRecord) -> ConditionTracker:
+        return ConditionTracker(
+            record.condition, record.send_time_ms, self.manager.name
+        )
 
     def poll(self) -> int:
         """Decide every record whose evaluation deadline has passed.
@@ -358,6 +385,7 @@ class EvaluationManager:
             acks_received=len(record.acks),
             reasons=list(reasons),
         )
+        record.tracker = None
         self._pending -= 1
         if record.timeout_event is not None:
             record.timeout_event.cancel()

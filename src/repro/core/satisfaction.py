@@ -3,9 +3,15 @@
 Given a condition tree, the set of acknowledgments received so far, the
 send timestamp, and the current time, decide whether the conditional
 message is SATISFIED, VIOLATED, or still PENDING.  The algorithm is pure
-(no I/O, no clocks of its own), which makes it property-testable and lets
-the evaluation manager re-run it on every acknowledgment arrival and at
-the evaluation timeout.
+(no I/O, no clocks of its own), which makes it property-testable.
+
+Cost model: a :class:`ConditionTracker` indexes the tree once and then
+takes one acknowledgment at a time, moving counters on the path from the
+leaf that claims it to the root — O(depth) per acknowledgment, whatever
+the fan-out.  The evaluation manager keeps one per pending message,
+reads its state after every drain and asks it for the reasons once, at a
+violation or at the evaluation timeout.  :func:`evaluate_condition` is
+the one-shot form: a fresh tracker fed every acknowledgment.
 
 Semantics (fixed in DESIGN.md section 4):
 
@@ -29,11 +35,14 @@ Semantics (fixed in DESIGN.md section 4):
 * **Finality**: at the evaluation timeout (or when a subtree can receive
   no further acknowledgments because every copy is consumed), PENDING
   resolves: tallies succeed iff min <= in-time count <= max.
+* **Reasons** name every requirement that is not SATISFIED, so a
+  SATISFIED result never carries any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from bisect import insort
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -74,462 +83,370 @@ class EvaluationResult:
 
 
 # ---------------------------------------------------------------------------
-# Ack assignment
+# Terms: the tri-state quantities of one tree
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class AckAssignment:
-    """Result of distributing acknowledgments over a condition tree."""
-
-    #: per-leaf assigned acknowledgments (earliest read first)
-    by_leaf: Dict[int, List[Acknowledgment]]
-    #: acknowledgments claimed by no leaf, keyed by (manager, queue)
-    unclaimed: Dict[Tuple[str, str], List[Acknowledgment]]
-    #: every recipient name that appears on some leaf
-    named_recipients: Set[str]
-    #: per-node leaf lists, memoized for the duration of one evaluation
-    #: pass (the tree is walked per aspect per set node; re-listing the
-    #: same subtree's leaves each time is pure overhead)
-    _subtree_leaves: Dict[int, List[Destination]] = field(default_factory=dict)
-
-    def leaf_acks(self, leaf: Destination) -> List[Acknowledgment]:
-        """Acknowledgments assigned to ``leaf``."""
-        return self.by_leaf.get(id(leaf), [])
-
-    def subtree_leaves(self, node: Condition) -> List[Destination]:
-        """Leaves of ``node``'s subtree (memoized per evaluation pass)."""
-        cached = self._subtree_leaves.get(id(node))
-        if cached is None:
-            cached = list(node.destinations())
-            self._subtree_leaves[id(node)] = cached
-        return cached
+_SAT, _VIOL, _PEND = EvalState.SATISFIED, EvalState.VIOLATED, EvalState.PENDING
+_ASPECTS = ("pick_up", "processing")
+_NOBODY: frozenset = frozenset()
 
 
-def assign_acks(
-    root: Condition,
-    acks: Sequence[Acknowledgment],
-    default_manager: str,
-) -> AckAssignment:
-    """Distribute ``acks`` over the leaves of ``root``.
+class _Term:
+    """One tri-state quantity of the tree.  ``nf`` is its state before the
+    evaluation timeout, ``f`` its state once final (the timeout, or inside
+    the tally of an ancestor that can receive no more acknowledgments).
+    A term with a ``parent`` is one member of that tally; a ``required``
+    term is one of the conditions the root ANDs together."""
 
-    Leaves naming a recipient have priority over recipient-less leaves on
-    the same queue, so a named recipient's acknowledgment is never
-    miscounted as anonymous.
-    """
-    leaves = list(root.destinations())
-    by_key_named: Dict[Tuple[str, str, str], Destination] = {}
-    by_key_open: Dict[Tuple[str, str], Destination] = {}
-    for leaf in leaves:
-        manager = leaf.manager or default_manager
-        if leaf.recipient is not None:
-            by_key_named[(manager, leaf.queue, leaf.recipient)] = leaf
-        else:
-            by_key_open[(manager, leaf.queue)] = leaf
+    __slots__ = ("parent", "required", "nf", "f")
 
-    assigned: Dict[int, List[Acknowledgment]] = {id(leaf): [] for leaf in leaves}
-    unclaimed: Dict[Tuple[str, str], List[Acknowledgment]] = {}
 
-    def claim_cap(leaf: Destination) -> Optional[int]:
-        # A topic is consumable by arbitrarily many subscribers, and the
-        # leaf means "any subscriber": it absorbs every ack on its queue
-        # (anonymous tallies still see them — see _anonymous_aspect_state).
-        return None if is_topic_destination(leaf.queue) else leaf.copies
+class _LeafTerm(_Term):
+    """A leaf did one aspect by a deadline: its own (``within`` ms of the
+    send, a required term) or its parent tally's."""
 
-    ordered = sorted(acks, key=lambda a: (a.read_time_ms, a.original_message_id))
-    for ack in ordered:
-        named_leaf = by_key_named.get((ack.manager, ack.queue, ack.recipient))
-        if named_leaf is not None:
-            bucket = assigned[id(named_leaf)]
-            cap = claim_cap(named_leaf)
-            if cap is None or len(bucket) < cap:
-                bucket.append(ack)
-                continue
-        open_leaf = by_key_open.get((ack.manager, ack.queue))
-        if open_leaf is not None and named_leaf is None:
-            bucket = assigned[id(open_leaf)]
-            cap = claim_cap(open_leaf)
-            if cap is None or len(bucket) < cap:
-                bucket.append(ack)
-                continue
-        unclaimed.setdefault((ack.manager, ack.queue), []).append(ack)
+    __slots__ = ("leaf", "processing", "deadline", "within")
 
-    named_recipients = {
-        leaf.recipient for leaf in leaves if leaf.recipient is not None
-    }
-    assignment = AckAssignment(
-        by_leaf=assigned, unclaimed=unclaimed, named_recipients=named_recipients
+    def __init__(self, parent, leaf, processing, deadline, within=None) -> None:
+        # A leaf holding no acknowledgment yet is PENDING (VIOLATED once
+        # final), and counted so in its tally right away.
+        self.parent, self.required = parent, parent is None
+        self.nf, self.f = _PEND, _VIOL
+        self.leaf, self.processing, self.deadline, self.within = (
+            leaf, processing, deadline, within
+        )
+        if parent is not None:
+            parent.pend += 1
+
+    def state(self) -> Tuple[EvalState, EvalState]:
+        leaf = self.leaf
+        ts = leaf.min_commit if self.processing else leaf.min_read
+        if ts is not None and ts <= self.deadline:
+            return _SAT, _SAT
+        return (_VIOL if leaf.full else _PEND), _VIOL
+
+    def reason(self, label: str, state: EvalState, final: bool) -> str:
+        aspect = "processing" if self.processing else "pick-up"
+        return f"{label}: {aspect} within {self.within}ms is {state.value}"
+
+
+class _Tally(_Term):
+    """A set's min..max count of members that did one aspect in time."""
+
+    __slots__ = (
+        "owner", "processing", "need", "cap", "deadline", "sat", "pend", "sat_final",
     )
-    assignment._subtree_leaves[id(root)] = leaves
-    return assignment
 
-
-# ---------------------------------------------------------------------------
-# Leaf evaluation
-# ---------------------------------------------------------------------------
-
-
-def _ack_timestamp(ack: Acknowledgment, aspect: str) -> Optional[int]:
-    if aspect == "pick_up":
-        return ack.read_time_ms
-    if aspect == "processing":
-        return ack.processing_time_ms()
-    raise EvaluationError(f"unknown aspect {aspect!r}")
-
-
-def _leaf_aspect_state(
-    leaf: Destination,
-    acks: List[Acknowledgment],
-    aspect: str,
-    deadline_abs_ms: Optional[int],
-    final: bool,
-) -> EvalState:
-    """State of "this leaf did <aspect> by <deadline>"."""
-    in_time = False
-    dead = 0
-    for ack in acks:
-        ts = _ack_timestamp(ack, aspect)
-        if ts is None:
-            # For processing: a non-transactional read consumed a copy that
-            # can never yield a processing acknowledgment.
-            dead += 1
-            continue
-        if deadline_abs_ms is None or ts <= deadline_abs_ms:
-            in_time = True
-        else:
-            dead += 1
-    if in_time:
-        return EvalState.SATISFIED
-    if not is_topic_destination(leaf.queue) and dead >= leaf.copies:
-        # Every physical copy was consumed without satisfying the aspect:
-        # early violation.  (Topics have no copy bound — any number of
-        # subscribers may yet acknowledge — so only finality resolves.)
-        return EvalState.VIOLATED
-    if final:
-        return EvalState.VIOLATED
-    return EvalState.PENDING
-
-
-def _leaf_own_state(
-    leaf: Destination,
-    assignment: AckAssignment,
-    send_time_ms: int,
-    final: bool,
-    reasons: List[str],
-    label: str,
-) -> EvalState:
-    """A leaf's own (required-destination) conditions."""
-    states: List[EvalState] = []
-    acks = assignment.leaf_acks(leaf)
-    if leaf.msg_pick_up_time is not None:
-        state = _leaf_aspect_state(
-            leaf, acks, "pick_up", send_time_ms + leaf.msg_pick_up_time, final
+    def __init__(
+        self, parent, required, owner, processing, need, cap, deadline
+    ) -> None:
+        self.parent, self.required, self.nf, self.f = parent, required, None, None
+        self.owner, self.processing, self.need, self.cap, self.deadline = (
+            owner, processing, need, cap, deadline
         )
-        if state is not EvalState.SATISFIED:
-            reasons.append(
-                f"{label}: pick-up within {leaf.msg_pick_up_time}ms is"
-                f" {state.value}"
-            )
-        states.append(state)
-    if leaf.msg_processing_time is not None:
-        state = _leaf_aspect_state(
-            leaf,
-            acks,
-            "processing",
-            send_time_ms + leaf.msg_processing_time,
-            final,
+        self.sat = self.pend = self.sat_final = 0
+
+    def state(self) -> Tuple[EvalState, EvalState]:
+        sat, need, cap = self.sat_final, self.need, self.cap
+        final = _SAT if sat >= need and (cap is None or sat <= cap) else _VIOL
+        if self.owner.exhausted:
+            return final, final
+        sat, pend = self.sat, self.pend
+        if cap is not None and sat > cap:
+            return _VIOL, final
+        if sat >= need and (cap is None or pend == 0):
+            return _SAT, final
+        return (_VIOL if sat + pend < need else _PEND), final
+
+    def reason(self, label: str, state: EvalState, final: bool) -> str:
+        sat = self.sat_final if final or self.owner.exhausted else self.sat
+        cap = f"..{self.cap}" if self.cap is not None else ""
+        return (
+            f"{label}: {_ASPECTS[self.processing]} tally {sat}/{self.need}{cap}"
+            f" is {state.value}"
         )
-        if state is not EvalState.SATISFIED:
-            reasons.append(
-                f"{label}: processing within {leaf.msg_processing_time}ms is"
-                f" {state.value}"
-            )
-        states.append(state)
-    if not states:
-        return EvalState.SATISFIED  # optional destination: no own requirement
-    return combine_and(states)
+
+
+class _Anonymous(_Term):
+    """A set's count of distinct unnamed readers that did one aspect in time."""
+
+    __slots__ = ("owner", "processing", "deadline", "amin", "amax", "readers")
+
+    def __init__(self, owner, processing, deadline, amin, amax) -> None:
+        self.parent, self.required, self.nf, self.f = None, True, None, None
+        self.owner, self.processing, self.deadline = owner, processing, deadline
+        self.amin, self.amax, self.readers = amin, amax, set()
+
+    def state(self) -> Tuple[EvalState, EvalState]:
+        count, amin, amax = len(self.readers), self.amin, self.amax
+        if amax is not None and count > amax:
+            return _VIOL, _VIOL
+        final = _SAT if amin is None or count >= amin else _VIOL
+        if self.owner.exhausted:
+            return final, final
+        return (_SAT if final is _SAT and amax is None else _PEND), final
+
+    def reason(self, label: str, state: EvalState, final: bool) -> str:
+        amin = self.amin if self.amin is not None else 0
+        amax = f"..{self.amax}" if self.amax is not None else ""
+        return (
+            f"{label}: anonymous {_ASPECTS[self.processing]} count"
+            f" {len(self.readers)} (need {amin}{amax}) is {state.value}"
+        )
+
+
+class _Leaf:
+    """What the terms read of the acknowledgments one leaf holds.  A capped
+    leaf's ``acks`` are (read time, message id, arrival, ack) entries in
+    that order, the arrival number breaking ties as arrival order."""
+
+    __slots__ = ("cap", "acks", "min_read", "min_commit", "full", "terms", "sets")
+
+    def __init__(self, cap: Optional[int], sets: Tuple["_Set", ...]) -> None:
+        self.cap, self.sets, self.acks, self.terms = cap, sets, [], []
+        self.min_read = self.min_commit = None
+        self.full = False
+
+
+class _Set:
+    """A set's exhaustion counter (a ``limit`` of 0 or None: never) and the
+    terms that read it."""
+
+    __slots__ = ("limit", "filled", "exhausted", "watchers", "anonymous")
+
+    def __init__(self) -> None:
+        self.limit = self.filled = 0
+        self.exhausted = False
+        self.watchers: List[_Term] = []
+        self.anonymous: List[_Anonymous] = []
+
+
+def _label(path) -> str:
+    """Render a node path built lazily as (parent path, separator, part)."""
+    parts = []
+    while not isinstance(path, str):
+        path, separator, part = path
+        parts.append(f"{separator}{part}")
+    return path + "".join(reversed(parts))
 
 
 # ---------------------------------------------------------------------------
-# Set evaluation
+# The tracker
 # ---------------------------------------------------------------------------
 
 
-def _subtree_exhausted(node: Condition, assignment: AckAssignment, default_manager: str) -> bool:
-    """True when no further acknowledgment can arrive for this subtree.
+class ConditionTracker:
+    """The satisfaction state of one condition tree, kept up to date one
+    acknowledgment at a time.
 
-    A topic destination can be consumed by arbitrarily many subscribers
-    (the sender cannot know the subscription count), so any topic leaf in
-    the subtree makes exhaustion undecidable — only the evaluation
-    timeout resolves it.
+    The static index — leaf lookup by (manager, queue, recipient), parent
+    pointers, every set's leaves, queues and copy total — is built once.
+    An acknowledgment then moves the counters on the path from the leaf
+    that claims it (or from the sets reading its queue, when none does) to
+    the root: O(depth), whatever the fan-out.  Claims are order-free: a
+    named recipient's leaf goes before a recipient-less one on the same
+    queue; a capped leaf keeps its earliest reads by (read time, message
+    id), so an earlier read arriving late displaces the latest, which
+    becomes unclaimed; a topic leaf takes every ack on its queue.
     """
-    total_copies = 0
-    total_acks = 0
-    queues: Set[Tuple[str, str]] = set()
-    for leaf in assignment.subtree_leaves(node):
-        if is_topic_destination(leaf.queue):
-            return False
-        total_copies += leaf.copies
-        total_acks += len(assignment.leaf_acks(leaf))
-        queues.add((leaf.manager or default_manager, leaf.queue))
-    for key in queues:
-        total_acks += len(assignment.unclaimed.get(key, []))
-    return total_copies > 0 and total_acks >= total_copies
 
+    __slots__ = ("named", "open", "queue_sets", "named_recipients", "required",
+                 "violated", "pending", "arrivals")
 
-def _child_counts_state(
-    child: Condition,
-    assignment: AckAssignment,
-    aspect: str,
-    inherited_deadline_abs: Optional[int],
-    send_time_ms: int,
-    final: bool,
-    default_manager: str,
-) -> EvalState:
-    """Whether ``child`` counts toward a parent tally for ``aspect``."""
-    if isinstance(child, Destination):
-        return _leaf_aspect_state(
-            child,
-            assignment.leaf_acks(child),
-            aspect,
-            inherited_deadline_abs,
-            final,
-        )
-    if isinstance(child, DestinationSet):
-        own_rel = (
-            child.msg_pick_up_time
-            if aspect == "pick_up"
-            else child.msg_processing_time
-        )
-        deadline = (
-            send_time_ms + own_rel if own_rel is not None else inherited_deadline_abs
-        )
-        return _set_aspect_tally(
-            child,
-            assignment,
-            aspect,
-            deadline,
-            send_time_ms,
-            final,
-            default_manager,
-            reasons=None,
-            label=None,
-        )
-    raise EvaluationError(f"unknown condition node {type(child).__name__}")
-
-
-def _set_aspect_tally(
-    node: DestinationSet,
-    assignment: AckAssignment,
-    aspect: str,
-    deadline_abs: Optional[int],
-    send_time_ms: int,
-    final: bool,
-    default_manager: str,
-    reasons: Optional[List[str]],
-    label: Optional[str],
-) -> EvalState:
-    """Tally state: did enough (min..max) members do ``aspect`` in time?"""
-    children = node.children()
-    if aspect == "pick_up":
-        need = node.min_nr_pick_up
-        cap = node.max_nr_pick_up
-    else:
-        need = node.min_nr_processing
-        cap = node.max_nr_processing
-    required = need if need is not None else len(children)
-
-    local_final = final or _subtree_exhausted(node, assignment, default_manager)
-    satisfied = pending = 0
-    for child in children:
-        state = _child_counts_state(
-            child,
-            assignment,
-            aspect,
-            deadline_abs,
-            send_time_ms,
-            local_final,
-            default_manager,
-        )
-        if state is EvalState.SATISFIED:
-            satisfied += 1
-        elif state is EvalState.PENDING:
-            pending += 1
-
-    result: EvalState
-    if cap is not None and satisfied > cap:
-        result = EvalState.VIOLATED
-    elif satisfied >= required and (cap is None or pending == 0):
-        result = EvalState.SATISFIED
-    elif local_final:
-        result = (
-            EvalState.SATISFIED
-            if satisfied >= required and (cap is None or satisfied <= cap)
-            else EvalState.VIOLATED
-        )
-    elif satisfied + pending < required:
-        result = EvalState.VIOLATED
-    else:
-        result = EvalState.PENDING
-
-    if reasons is not None and label is not None and result is not EvalState.SATISFIED:
-        cap_text = f"..{cap}" if cap is not None else ""
-        reasons.append(
-            f"{label}: {aspect} tally {satisfied}/{required}{cap_text}"
-            f" is {result.value}"
-        )
-    return result
-
-
-def _anonymous_aspect_state(
-    node: DestinationSet,
-    assignment: AckAssignment,
-    aspect: str,
-    deadline_abs: Optional[int],
-    final: bool,
-    default_manager: str,
-    reasons: List[str],
-    label: str,
-) -> EvalState:
-    """Anonymous-recipient tally: distinct unnamed readers in the subtree."""
-    if aspect == "pick_up":
-        amin, amax = node.anonymous_min_pick_up, node.anonymous_max_pick_up
-    else:
-        amin, amax = node.anonymous_min_processing, node.anonymous_max_processing
-    if amin is None and amax is None:
-        return EvalState.SATISFIED
-
-    queues = {
-        (leaf.manager or default_manager, leaf.queue)
-        for leaf in assignment.subtree_leaves(node)
-    }
-    recipients: Set[str] = set()
-    for key in queues:
-        for ack in assignment.unclaimed.get(key, []):
-            if ack.recipient in assignment.named_recipients:
+    def __init__(
+        self, root: Condition, send_time_ms: int, default_manager: str = ""
+    ) -> None:
+        self.named: Dict[Tuple[str, str, str], _Leaf] = {}
+        self.open: Dict[Tuple[str, str], _Leaf] = {}
+        #: the sets holding a leaf on a queue, which count its unclaimed acks
+        self.queue_sets: Dict[Tuple[str, str], Tuple[_Set, ...]] = {}
+        named_recipients: Set[str] = set()
+        anonymous = False
+        #: (node path, term) for every required term, in the tree's pre-order
+        self.required: List[Tuple[object, _Term]] = []
+        self.violated = self.pending = self.arrivals = 0
+        terms: List[_Term] = []
+        stack: List[tuple] = [(root, "root", (), (None, None))]
+        while stack:
+            node, path, ancestors, tallies = stack.pop()
+            pick_up, processing = node.msg_pick_up_time, node.msg_processing_time
+            if isinstance(node, Destination):
+                topic = is_topic_destination(node.queue)
+                leaf = _Leaf(None if topic else node.copies, ancestors)
+                key = (node.manager or default_manager, node.queue)
+                if node.recipient is None:
+                    self.open[key] = leaf
+                else:
+                    self.named[key + (node.recipient,)] = leaf
+                    named_recipients.add(node.recipient)
+                shared = self.queue_sets.get(key)
+                self.queue_sets[key] = (
+                    ancestors if shared is None
+                    else tuple(dict.fromkeys(shared + ancestors))
+                )
+                for owner in ancestors:
+                    if owner.limit is not None:
+                        owner.limit = None if topic else owner.limit + node.copies
+                for aspect, tally in enumerate(tallies):
+                    if tally is not None:
+                        leaf.terms.append(
+                            _LeafTerm(tally, leaf, aspect, tally.deadline)
+                        )
+                for aspect, within in enumerate((pick_up, processing)):
+                    if within is not None:
+                        deadline = send_time_ms + within
+                        term = _LeafTerm(None, leaf, aspect, deadline, within)
+                        leaf.terms.append(term)
+                        self.required.append((path, term))
+                        self.pending += 1
                 continue
-            ts = _ack_timestamp(ack, aspect)
-            if ts is None:
-                continue
-            if deadline_abs is None or ts <= deadline_abs:
-                recipients.add(ack.recipient)
-    # Recipient-less leaves absorb the first ack on their queue; that
-    # reader is anonymous too and must count here.
-    for leaf in assignment.subtree_leaves(node):
-        if leaf.recipient is not None:
-            continue
-        for ack in assignment.leaf_acks(leaf):
-            if ack.recipient in assignment.named_recipients:
-                continue
-            ts = _ack_timestamp(ack, aspect)
-            if ts is None:
-                continue
-            if deadline_abs is None or ts <= deadline_abs:
-                recipients.add(ack.recipient)
-
-    count = len(recipients)
-    local_final = final or _subtree_exhausted(node, assignment, default_manager)
-    result: EvalState
-    if amax is not None and count > amax:
-        result = EvalState.VIOLATED
-    elif (amin is None or count >= amin) and (amax is None or local_final):
-        result = EvalState.SATISFIED
-    elif local_final:
-        result = (
-            EvalState.SATISFIED
-            if (amin is None or count >= amin) and (amax is None or count <= amax)
-            else EvalState.VIOLATED
-        )
-    else:
-        result = EvalState.PENDING
-
-    if result is not EvalState.SATISFIED:
-        reasons.append(
-            f"{label}: anonymous {aspect} count {count}"
-            f" (need {amin if amin is not None else 0}"
-            f"{f'..{amax}' if amax is not None else ''}) is {result.value}"
-        )
-    return result
-
-
-def _node_state(
-    node: Condition,
-    assignment: AckAssignment,
-    send_time_ms: int,
-    final: bool,
-    default_manager: str,
-    reasons: List[str],
-    path: str,
-) -> EvalState:
-    """Overall state of a node: own tallies AND every child's own state."""
-    if isinstance(node, Destination):
-        return _leaf_own_state(
-            node, assignment, send_time_ms, final, reasons, path
-        )
-    if not isinstance(node, DestinationSet):
-        raise EvaluationError(f"unknown condition node {type(node).__name__}")
-
-    states: List[EvalState] = []
-    if node.msg_pick_up_time is not None:
-        states.append(
-            _set_aspect_tally(
-                node,
-                assignment,
-                "pick_up",
-                send_time_ms + node.msg_pick_up_time,
-                send_time_ms,
-                final,
-                default_manager,
-                reasons,
-                path,
+            if not isinstance(node, DestinationSet):
+                raise EvaluationError(f"unknown condition node {type(node).__name__}")
+            owner = _Set()
+            children = node.children()
+            bounds = (
+                (pick_up, node.min_nr_pick_up, node.max_nr_pick_up,
+                 node.anonymous_min_pick_up, node.anonymous_max_pick_up),
+                (processing, node.min_nr_processing, node.max_nr_processing,
+                 node.anonymous_min_processing, node.anonymous_max_processing),
             )
-        )
-    if node.msg_processing_time is not None:
-        states.append(
-            _set_aspect_tally(
-                node,
-                assignment,
-                "processing",
-                send_time_ms + node.msg_processing_time,
-                send_time_ms,
-                final,
-                default_manager,
-                reasons,
-                path,
-            )
-        )
-    for aspect in ("pick_up", "processing"):
-        rel = (
-            node.msg_pick_up_time if aspect == "pick_up" else node.msg_processing_time
-        )
-        states.append(
-            _anonymous_aspect_state(
-                node,
-                assignment,
-                aspect,
-                send_time_ms + rel if rel is not None else None,
-                final,
-                default_manager,
-                reasons,
-                path,
-            )
-        )
-    for index, child in enumerate(node.children()):
-        child_path = f"{path}.{index}" if path else str(index)
-        if isinstance(child, Destination):
-            child_path = f"{path}/{child.queue}"
-        states.append(
-            _node_state(
-                child,
-                assignment,
-                send_time_ms,
-                final,
-                default_manager,
-                reasons,
-                child_path,
-            )
-        )
-    return combine_and(states)
+            mine: List[Optional[_Tally]] = [None, None]
+            for aspect, (within, need, cap, amin, amax) in enumerate(bounds):
+                parent = tallies[aspect]
+                deadline = None if within is None else send_time_ms + within
+                if deadline is not None or parent is not None:
+                    tally = mine[aspect] = _Tally(
+                        parent, deadline is not None, owner, aspect,
+                        len(children) if need is None else need, cap,
+                        parent.deadline if deadline is None else deadline,
+                    )
+                    owner.watchers.append(tally)
+                    if tally.required:
+                        self.required.append((path, tally))
+                if amin is not None or amax is not None:
+                    owner.anonymous.append(
+                        _Anonymous(owner, aspect, deadline, amin, amax)
+                    )
+            for term in owner.anonymous:
+                owner.watchers.append(term)
+                self.required.append((path, term))
+                anonymous = True
+            terms.extend(owner.watchers)
+            below, tallies = ancestors + (owner,), tuple(mine)
+            for index in range(len(children) - 1, -1, -1):
+                child = children[index]
+                stack.append((
+                    child,
+                    (path, "/", child.queue) if isinstance(child, Destination)
+                    else (path, ".", index),
+                    below,
+                    tallies,
+                ))
+        # Only anonymous tallies ask who is named; most trees have none.
+        self.named_recipients = named_recipients if anonymous else _NOBODY
+        # Pre-order reversed: every tally settles after all of its members.
+        self._settle(reversed(terms), climb=False)
+
+    def state(self) -> EvalState:
+        """The state before the evaluation timeout, for the acks added."""
+        if self.violated:
+            return _VIOL
+        return _PEND if self.pending else _SAT
+
+    def result(self, final: bool = False) -> EvaluationResult:
+        """The state with its reasons; ``final`` once the evaluation
+        timeout is reached, which resolves every PENDING."""
+        states: List[EvalState] = []
+        reasons: List[str] = []
+        for path, term in self.required:
+            state = term.f if final else term.nf
+            if state is not _SAT:
+                reasons.append(term.reason(_label(path), state, final))
+            states.append(state)
+        return EvaluationResult(state=combine_and(states), reasons=reasons)
+
+    def add(self, ack: Acknowledgment) -> None:
+        """Account one more acknowledgment."""
+        key = (ack.manager, ack.queue)
+        leaf = self.named.get(key + (ack.recipient,)) or self.open.get(key)
+        dirty: List[_Term] = []
+        spill: Optional[Acknowledgment] = ack  # the ack left unclaimed, if any
+        if leaf is not None:
+            spill = None
+            if leaf.cap is not None:  # (a topic leaf has no cap)
+                self.arrivals += 1
+                insort(leaf.acks, (
+                    ack.read_time_ms, ack.original_message_id, self.arrivals, ack
+                ))
+                if len(leaf.acks) > leaf.cap:
+                    spill = leaf.acks.pop()[-1]
+                leaf.full = len(leaf.acks) >= leaf.cap
+            if spill is None:
+                held = (ack,)  # the minima can only fall
+            elif spill is ack:
+                held = ()
+            else:  # an earlier read displaced a held one
+                held = [entry[-1] for entry in leaf.acks]
+                leaf.min_read = leaf.min_commit = None
+            for taken in held:
+                if leaf.min_read is None or taken.read_time_ms < leaf.min_read:
+                    leaf.min_read = taken.read_time_ms
+                commit = taken.processing_time_ms()
+                if commit is not None and (
+                    leaf.min_commit is None or commit < leaf.min_commit
+                ):
+                    leaf.min_commit = commit
+            if spill is not ack:
+                dirty.extend(leaf.terms)
+                self._spread(leaf.sets, ack, spill is None, dirty)
+        if spill is not None:
+            self._spread(self.queue_sets.get(key, ()), spill, True, dirty)
+        self._settle(dirty)
+
+    def _spread(
+        self, sets, ack: Acknowledgment, fill: bool, dirty: List[_Term]
+    ) -> None:
+        """Count ``ack`` toward ``sets``: their exhaustion when ``fill``,
+        and each anonymous tally it passes."""
+        anonymous = ack.recipient not in self.named_recipients
+        for owner in sets:
+            if fill:
+                owner.filled += 1
+                if owner.filled == owner.limit:
+                    owner.exhausted = True
+                    dirty.extend(owner.watchers)
+            if anonymous:
+                for term in owner.anonymous:
+                    ts = (
+                        ack.processing_time_ms() if term.processing
+                        else ack.read_time_ms
+                    )
+                    if (
+                        ts is not None
+                        and (term.deadline is None or ts <= term.deadline)
+                        and ack.recipient not in term.readers
+                    ):
+                        term.readers.add(ack.recipient)
+                        dirty.append(term)
+
+    def _settle(self, dirty, climb: bool = True) -> None:
+        """Re-derive ``dirty`` terms and, while a state changes, the
+        tallies above them."""
+        for term in dirty:
+            while term is not None:
+                old_nf, old_f = term.nf, term.f
+                nf, f = term.nf, term.f = term.state()
+                if nf is old_nf and f is old_f:
+                    break
+                if term.required:
+                    self.violated += (nf is _VIOL) - (old_nf is _VIOL)
+                    self.pending += (nf is _PEND) - (old_nf is _PEND)
+                parent = term.parent
+                if parent is not None:
+                    parent.sat += (nf is _SAT) - (old_nf is _SAT)
+                    parent.pend += (nf is _PEND) - (old_nf is _PEND)
+                    parent.sat_final += (f is _SAT) - (old_f is _SAT)
+                term = parent if climb else None
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +463,9 @@ def evaluate_condition(
     default_manager: str = "",
 ) -> EvaluationResult:
     """Evaluate a condition tree against the acknowledgments seen so far.
+
+    One pass: a :class:`ConditionTracker` takes every acknowledgment, then
+    names its reasons.
 
     Args:
         root: The condition associated with the message.
@@ -567,14 +487,7 @@ def evaluate_condition(
         evaluation_timeout_ms is not None
         and now_ms >= send_time_ms + evaluation_timeout_ms
     )
-    assignment = assign_acks(root, acks, default_manager)
-    reasons: List[str] = []
-    state = _node_state(
-        root, assignment, send_time_ms, final, default_manager, reasons, "root"
-    )
-    if state is EvalState.PENDING and final:
-        # Defensive: with final=True the node evaluation should already
-        # have resolved, but guarantee finality regardless.
-        state = EvalState.VIOLATED
-        reasons.append("evaluation timeout reached while still pending")
-    return EvaluationResult(state=state, reasons=reasons)
+    tracker = ConditionTracker(root, send_time_ms, default_manager)
+    for ack in acks:
+        tracker.add(ack)
+    return tracker.result(final)

@@ -138,7 +138,7 @@ class ConditionalMessagingService:
         sender log entry is written to DS.SLOG.Q, and evaluation starts
         immediately.
         """
-        condition.validate()
+        condition.validate(self.manager.name)
         cmid = new_conditional_message_id()
         send_time = self.manager.clock.now_ms()
 

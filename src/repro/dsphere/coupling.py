@@ -116,7 +116,8 @@ class CoupledSender:
                 body, condition, compensation=compensation
             )
         if mode is CouplingMode.ON_COMMIT:
-            condition.validate()  # fail fast, like an immediate send would
+            # fail fast, like an immediate send would
+            condition.validate(self.messaging.manager.name)
             unit.on_commit.append(
                 _OnCommitEntry(body=body, condition=condition,
                                compensation=compensation)

@@ -164,6 +164,17 @@ class TestValidation:
         with pytest.raises(ConditionValidationError):
             group.validate()
 
+    def test_leaf_naming_the_default_manager_duplicates_one_naming_none(self):
+        group = destination_set(
+            destination("Q.A", recipient="bob"),
+            destination("Q.A", manager="QM.S", recipient="bob"),
+            msg_pick_up_time=10,
+        )
+        group.validate()  # no sender known: the two managers differ
+        with pytest.raises(ConditionValidationError, match="duplicate"):
+            group.validate("QM.S")
+        group.validate("QM.OTHER")
+
     def test_same_queue_different_recipients_allowed(self):
         group = destination_set(
             destination("Q.A", recipient="bob"),

@@ -55,6 +55,20 @@ class TestRegistration:
         assert len(decided) == 1
         assert decided[0].outcome is MessageOutcome.SUCCESS
 
+    def test_a_tracker_lives_from_the_first_ack_to_the_decision(self, env):
+        clock, scheduler, manager, evaluation, decided = env
+        records = [
+            evaluation.register(f"CM-{i}", simple_condition(), 0, 200)
+            for i in range(3)
+        ]
+        # A restart re-registers every in-flight message at once.
+        assert [r.tracker for r in records] == [None, None, None]
+        manager.put(ACK_QUEUE, ack_to_message(ack("CM-0", read_ms=10)))
+        assert records[0].decided.outcome is MessageOutcome.SUCCESS
+        assert records[0].tracker is None  # built at the ack, dropped at the decision
+        manager.put(ACK_QUEUE, ack_to_message(ack("CM-1", read_ms=10, recipient="bob")))
+        assert records[1].pending and records[1].tracker is not None
+
     def test_pending_condition_stays_open(self, env):
         clock, scheduler, manager, evaluation, decided = env
         evaluation.register("CM-1", simple_condition(), 0, 200)

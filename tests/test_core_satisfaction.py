@@ -9,12 +9,7 @@ import pytest
 
 from repro.core.acks import Acknowledgment, AckKind
 from repro.core.builder import destination, destination_set
-from repro.core.satisfaction import (
-    EvalState,
-    assign_acks,
-    combine_and,
-    evaluate_condition,
-)
+from repro.core.satisfaction import EvalState, combine_and, evaluate_condition
 
 QM = "QM.SENDER"
 
@@ -300,41 +295,57 @@ class TestAnonymous:
 
 
 class TestAckAssignment:
+    """Which leaf an acknowledgment lands on, seen through the verdict."""
+
     def test_named_leaf_beats_open_leaf(self):
         tree = destination_set(
             destination("Q.A", recipient="bob"),
             destination("Q.A"),
             msg_pick_up_time=100,
         )
-        leaves = list(tree.destinations())
         acks = [read_ack("Q.A", "bob", 10), read_ack("Q.A", "carol", 20)]
-        assignment = assign_acks(tree, acks, QM)
-        assert [a.recipient for a in assignment.leaf_acks(leaves[0])] == ["bob"]
-        assert [a.recipient for a in assignment.leaf_acks(leaves[1])] == ["carol"]
+        # Had the open leaf taken bob's (earlier) read, carol's would be
+        # unclaimed and bob's own leaf still waiting.
+        assert state(tree, acks, now=30) is EvalState.SATISFIED
+        assert state(tree, acks[:1], now=30) is EvalState.PENDING
 
     def test_overflow_acks_unclaimed(self):
-        tree = destination_set(destination("Q.A"), msg_pick_up_time=100)
-        leaf = next(tree.destinations())
+        tree = destination_set(
+            destination("Q.A"), msg_pick_up_time=100, anonymous_min_pick_up=2
+        )
         acks = [read_ack("Q.A", "c1", 10), read_ack("Q.A", "c2", 20)]
-        assignment = assign_acks(tree, acks, QM)
-        assert len(assignment.leaf_acks(leaf)) == 1
-        assert len(assignment.unclaimed[(QM, "Q.A")]) == 1
+        # The one copy holds c1 (one reader, and no copy left: violated);
+        # c2 is kept unclaimed and still counts as a second anonymous
+        # reader of the queue.
+        assert state(tree, acks[:1], now=30) is EvalState.VIOLATED
+        assert state(tree, acks, now=30) is EvalState.SATISFIED
 
     def test_earliest_ack_claims_leaf(self):
         tree = destination_set(destination("Q.A"), msg_pick_up_time=100)
-        leaf = next(tree.destinations())
-        acks = [read_ack("Q.A", "late", 90), read_ack("Q.A", "early", 10)]
-        assignment = assign_acks(tree, acks, QM)
-        assert assignment.leaf_acks(leaf)[0].recipient == "early"
+        acks = [read_ack("Q.A", "late", 190), read_ack("Q.A", "early", 10)]
+        # The late read alone consumes the only copy: violated.  The
+        # earlier read, arriving second, displaces it.
+        assert state(tree, acks[:1], now=200) is EvalState.VIOLATED
+        assert state(tree, acks, now=200) is EvalState.SATISFIED
+
+    def test_equal_reads_keep_arrival_order(self):
+        tree = destination_set(
+            destination("Q.A", copies=2, msg_processing_time=100),
+        )
+        first = proc_ack("Q.A", "x", 10, 50)
+        # Equal read time and message id: the leaf orders the two by
+        # arrival and never compares the acknowledgments themselves.
+        second = proc_ack("Q.A", "x", 10, 150)
+        assert state(tree, [first, second], now=200) is EvalState.SATISFIED
+        assert state(tree, [second, first], now=200) is EvalState.SATISFIED
+        assert state(tree, [second, second], now=200) is EvalState.VIOLATED
 
     def test_manager_mismatch_not_assigned(self):
         tree = destination_set(
             destination("Q.A", manager="QM.OTHER"), msg_pick_up_time=100
         )
-        leaf = next(tree.destinations())
         acks = [read_ack("Q.A", "x", 10, manager=QM)]
-        assignment = assign_acks(tree, acks, QM)
-        assert assignment.leaf_acks(leaf) == []
+        assert state(tree, acks, now=50) is EvalState.PENDING
 
 
 class TestTrivialAndEdgeCases:

@@ -38,6 +38,20 @@ class TestSendMessage:
         assert duo.service.stats.conditional_sends == 0
         assert duo.sender_qm.depth(SENDER_LOG_QUEUE) == 0
 
+    def test_leaf_naming_the_senders_own_manager_is_a_duplicate(self, duo):
+        # Both leaves mean QM.S's Q.A read by bob; accepted, the second
+        # would take every ack and the first could only fail at timeout.
+        twice = destination_set(
+            destination("Q.A", recipient="bob", msg_pick_up_time=100),
+            destination("Q.A", manager="QM.S", recipient="bob", msg_pick_up_time=100),
+        )
+        duo.sender_qm.define_queue("Q.A")
+        with pytest.raises(ConditionValidationError, match="duplicate"):
+            duo.service.send_message("x", twice)
+        assert duo.service.stats.conditional_sends == 0
+        assert duo.sender_qm.depth(SENDER_LOG_QUEUE) == 0
+        assert duo.sender_qm.depth("Q.A") == 0
+
     def test_send_writes_slog_entry(self, duo):
         cmid = duo.service.send_message({"x": 1}, alice_condition())
         entries = [

@@ -1,7 +1,8 @@
 """Counts that cannot creep back: the per-message path neither browses a
 queue nor does Python work per stored message, however deep the backlog
-and however long the history, and a restart decodes what is live, not
-what was ever logged.
+and however long the history, a restart decodes what is live, not what
+was ever logged, and an acknowledgment costs the same satisfaction work
+at any fan-out.
 
 Timing would be noise in tier-1; these are exact counts.  ``browses`` is
 the queue's own counter; *visits* are calls of ``Message.is_expired`` /
@@ -9,11 +10,16 @@ the queue's own counter; *visits* are calls of ``Message.is_expired`` /
 ends up calling (visibility check, control-property decode).
 """
 
+import cProfile
+import pstats
 import re
 
 import pytest
 
+import repro.core.satisfaction as satisfaction
+from repro.core.acks import Acknowledgment, AckKind, ack_to_message
 from repro.core.builder import destination, destination_set
+from repro.core.evaluation import EvaluationManager
 from repro.core.logqueues import (
     COMPENSATION_QUEUE,
     RECEIVER_LOG_QUEUE,
@@ -327,3 +333,89 @@ def test_a_sql_store_writes_messages_not_bookkeeping(tmp_path):
     assert records == puts_and_gets
     for journal in bed.journals.values():
         journal.close()
+
+
+def satisfaction_calls(action):
+    """Calls of functions defined in ``core/satisfaction.py`` during ``action()``."""
+    profiler = cProfile.Profile()
+    profiler.runcall(action)
+    stats = pstats.Stats(profiler).stats
+    return sum(
+        calls
+        for (filename, _line, _name), (_primitive, calls, *_times) in stats.items()
+        if filename == satisfaction.__file__
+    )
+
+
+@pytest.mark.parametrize("shape", ["set deadline", "leaf deadlines"])
+def test_a_fanout8_message_costs_at_most_100_satisfaction_calls(shape):
+    """Registration, eight acks and the decision: the tracker is built
+    once and each ack moves one leaf-to-root path.  (A full re-walk per
+    acknowledgment cost 856 calls per message.)"""
+    bed = Testbed(FANOUT8, latency_ms=1)
+    if shape == "set deadline":  # the end-to-end benchmark's condition
+        condition = destination_set(
+            *[
+                destination(bed.queue_of(name), manager=f"QM.{name}", recipient=name)
+                for name in FANOUT8
+            ],
+            msg_pick_up_time=PICK_UP_MS,
+        )
+    else:
+        condition = condition_for(bed, FANOUT8)
+    cmids = []
+
+    def conditional_message():
+        cmids.append(send(bed, condition))
+        for name in FANOUT8:
+            assert read(bed, name).cmid == cmids[-1]
+        bed.run_all()
+
+    conditional_message()  # queue definitions and the like
+    calls = satisfaction_calls(lambda: [conditional_message() for _ in range(4)])
+    assert calls / 4 <= 100, calls / 4
+    for cmid in cmids:
+        record = bed.service.evaluation.record(cmid)
+        assert record.decided.outcome is MessageOutcome.SUCCESS
+        assert record.decided.reasons == []
+        assert record.tracker is None  # decided records are kept; trackers are not
+
+
+def calls_per_ack(fan_out):
+    """(calls of every ack between the first and the last, calls of the
+    deciding last ack).  The first builds the message's tracker, the one
+    O(fan-out) step."""
+    manager = QueueManager("QM.S", SimulatedClock())
+    decided = []
+    evaluation = EvaluationManager(manager, "DS.ACK.Q", decided.append)
+    names = [f"R{i}" for i in range(fan_out)]
+    evaluation.register(
+        "CM-1",
+        destination_set(
+            *[destination(f"Q.{name}", recipient=name) for name in names],
+            msg_pick_up_time=PICK_UP_MS,
+        ),
+        0,
+        PICK_UP_MS + 100,
+    )
+    per_ack = [
+        satisfaction_calls(
+            lambda name=name: manager.put(
+                "DS.ACK.Q",
+                ack_to_message(
+                    Acknowledgment(
+                        "CM-1", AckKind.READ, f"Q.{name}", "QM.S", name,
+                        10, None, f"m.{name}",
+                    )
+                ),
+            )
+        )
+        for name in names
+    ]
+    assert len(decided) == 1 and evaluation.record("CM-1").tracker is None
+    assert per_ack[0] > per_ack[1] and len(set(per_ack[1:-1])) == 1, per_ack
+    return per_ack[1], per_ack[-1]
+
+
+def test_satisfaction_calls_per_ack_do_not_grow_with_fan_out():
+    assert calls_per_ack(512) == calls_per_ack(8)
