@@ -464,16 +464,23 @@ class ChaosHarness:
         """
         seen = 0
         for name in list(self.receivers):
-            node = self.receivers[name]
-            if node.receiver.in_transaction:
+            receiver = self.receivers[name].receiver
+            if receiver.in_transaction:
                 # A reaction whose completion never fired (e.g. scheduled
                 # beyond the horizon) left a transaction open; the episode
                 # is over, so presume abort — exactly what a process exit
                 # would do — before the non-transactional sweep.
-                node.receiver.abort_tx()
-            for received in node.receiver.read_all(self.testbed.queue_of(name)):
-                self._record(name, received)
-                seen += 1
+                receiver.abort_tx()
+            queue_name = self.testbed.queue_of(name)
+            # Each read is ledgered as it returns, not after the drain: a
+            # crash mid-drain must not hide reads that were already durable.
+            with receiver.ack_batch():
+                while True:
+                    received = receiver.read_message(queue_name)
+                    if received is None:
+                        break
+                    self._record(name, received)
+                    seen += 1
         return seen
 
     # -- the crash procedure -----------------------------------------------------
@@ -628,8 +635,7 @@ class ChaosExplorer:
                 harness.network.redrive()
                 self._drain(harness)
                 for _ in range(FINAL_SWEEP_ROUNDS):
-                    harness.sweep()
-                    self._drain(harness)
+                    self._drain(harness, first=harness.sweep)
                 context = harness.context()
                 violations = self.suite.check(context)
                 return EpisodeResult(
@@ -648,13 +654,18 @@ class ChaosExplorer:
             finally:
                 harness.close()
 
-    def _drain(self, harness: ChaosHarness) -> None:
-        """Run to quiescence, performing crash/recovery as faults fire.
+    def _drain(
+        self, harness: ChaosHarness, first: Optional[Callable[[], object]] = None
+    ) -> None:
+        """Run ``first`` (if given), then run to quiescence, performing
+        crash/recovery as faults fire.
 
-        A :class:`CrashPoint` can escape the scheduler (a faulted flush)
-        or the recovery procedure itself (a flush-armed fault landing on
-        a post-recovery flush), so the recover step runs inside the same
-        protected loop.
+        A :class:`CrashPoint` can escape ``first`` (the final sweep reads
+        and flushes outside the scheduler), the scheduler (a faulted
+        flush) or the recovery procedure itself (a flush-armed fault
+        landing on a post-recovery flush), so all three run inside the
+        same protected loop.  ``first`` runs again after a crash cut it
+        short, as a reconnecting application would carry on.
         """
         pending: Optional[CrashPoint] = None
         while True:
@@ -662,6 +673,9 @@ class ChaosExplorer:
                 if pending is not None:
                     crash, pending = pending, None
                     harness.crash(crash.manager, tear=crash.tear)
+                if first is not None:
+                    first()
+                    first = None
                 harness.scheduler.run_all(max_events=MAX_EVENTS_PER_DRAIN)
                 return
             except CrashPoint as crashed:

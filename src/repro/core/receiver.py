@@ -177,35 +177,53 @@ class ConditionalMessagingReceiver:
         Returns ``None`` when no deliverable message is available.  The
         special compensation behaviour (cancellation, conditional
         delivery) happens transparently inside this call.
+
+        The whole read is one commit group: the pair-cancellation
+        removals, the get, the receiver-log entry and the acknowledgment
+        spooled for the sender (unless an :meth:`ack_batch` holds it for
+        the batch's exit) flush together, so a crash leaves the message
+        either unread or consumed, logged and acknowledged.  The
+        acknowledgment's transfer waits for that flush.
         """
-        self.manager.ensure_queue(queue_name)
-        if _scan_pairs:
-            self._cancel_pairs(queue_name)
-        while True:
-            message = self.manager.get_wait(
-                queue_name, transaction=self._transaction
-            )
-            if message is None:
-                return None
-            if not control.is_conditional(message):
-                self.stats.reads += 1
-                return ReceivedMessage(
-                    body=message.body,
-                    cmid=None,
-                    kind="plain",
-                    queue=queue_name,
-                    read_time_ms=self.manager.clock.now_ms(),
-                    message=message,
+        with self.manager.group_commit():
+            self.manager.ensure_queue(queue_name)
+            if _scan_pairs:
+                self._cancel_pairs(queue_name)
+            while True:
+                message = self.manager.get_wait(
+                    queue_name, transaction=self._transaction
                 )
-            info = control.extract_control(message)
-            if info.kind == control.KIND_ORIGINAL:
-                return self._deliver_original(queue_name, message, info)
-            if info.kind == control.KIND_COMPENSATION:
-                delivered = self._handle_compensation(queue_name, message, info)
-                if delivered is not None:
-                    return delivered
-                continue  # discarded; keep reading
-            if info.kind == control.KIND_SUCCESS_NOTIFICATION:
+                if message is None:
+                    return None
+                if not control.is_conditional(message):
+                    self.stats.reads += 1
+                    return ReceivedMessage(
+                        body=message.body,
+                        cmid=None,
+                        kind="plain",
+                        queue=queue_name,
+                        read_time_ms=self.manager.clock.now_ms(),
+                        message=message,
+                    )
+                info = control.extract_control(message)
+                if info.kind == control.KIND_ORIGINAL:
+                    return self._deliver_original(queue_name, message, info)
+                if info.kind == control.KIND_COMPENSATION:
+                    delivered = self._handle_compensation(queue_name, message, info)
+                    if delivered is not None:
+                        return delivered
+                    continue  # discarded; keep reading
+                if info.kind == control.KIND_SUCCESS_NOTIFICATION:
+                    self.stats.reads += 1
+                    return ReceivedMessage(
+                        body=message.body,
+                        cmid=info.cmid,
+                        kind=info.kind,
+                        queue=queue_name,
+                        read_time_ms=self.manager.clock.now_ms(),
+                        message=message,
+                    )
+                # Unknown conditional kind: deliver as-is rather than lose it.
                 self.stats.reads += 1
                 return ReceivedMessage(
                     body=message.body,
@@ -215,16 +233,6 @@ class ConditionalMessagingReceiver:
                     read_time_ms=self.manager.clock.now_ms(),
                     message=message,
                 )
-            # Unknown conditional kind: deliver as-is rather than lose it.
-            self.stats.reads += 1
-            return ReceivedMessage(
-                body=message.body,
-                cmid=info.cmid,
-                kind=info.kind,
-                queue=queue_name,
-                read_time_ms=self.manager.clock.now_ms(),
-                message=message,
-            )
 
     def read_all(self, queue_name: str, limit: Optional[int] = None) -> List[ReceivedMessage]:
         """Drain all currently deliverable messages (up to ``limit``).

@@ -23,8 +23,8 @@ Responsibilities:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
-from typing import Callable, ContextManager, Dict, Iterable, Iterator, List, Optional
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import (
     EmptyQueueError,
@@ -58,6 +58,29 @@ DEAD_LETTER_QUEUE = "SYSTEM.DEAD.LETTER.QUEUE"
 #: defined here so the manager can recognize transit queues without a
 #: circular import; :mod:`repro.mq.network` re-exports it).
 XMIT_PREFIX = "SYSTEM.XMIT."
+
+#: The context of a put whose queue has no listeners: no group of its own.
+_NO_GROUP = nullcontext()
+
+
+class _Group:
+    """:meth:`QueueManager.group_commit`'s context: the durable store's
+    group, then auto-compaction once it is written."""
+
+    __slots__ = ("manager", "inner")
+
+    def __init__(self, manager: "QueueManager", inner: ContextManager) -> None:
+        self.manager = manager
+        self.inner = inner
+
+    def __enter__(self) -> "QueueManager":
+        self.inner.__enter__()
+        return self.manager
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.inner.__exit__(exc_type, exc, tb)
+        if exc_type is None:
+            self.manager._maybe_autocompact()
 
 
 class QueueManager:
@@ -117,10 +140,6 @@ class QueueManager:
         self.tracer = tracer
         self.metrics = metrics
         self._compacting = False
-        #: crash-point hook (:mod:`repro.chaos`): called after a
-        #: :meth:`group_commit` block's journal group has been written,
-        #: before auto-compaction.  ``None`` (default) is a no-op.
-        self.on_post_group: Optional[Callable[[], None]] = None
         self._queues: Dict[str, MessageQueue] = {}
         #: local alias -> (remote manager, remote queue) — MQ "remote
         #: queue definitions"
@@ -307,23 +326,25 @@ class QueueManager:
                 transaction.record_put(queue_name, message)
             return messages
         queue = self.queue(queue_name)
-        stored_batch = queue.put_many(messages, notify=False)
-        if self.journal is not None:
-            persistent = [
-                (queue_name, stored)
-                for stored in stored_batch
-                if stored.is_persistent()
-            ]
-            if persistent:
-                self.journal.log_put_many(persistent)
-        # Listeners fire only after the puts are journaled: a push
-        # consumer may journal-visibly get the message inside the
-        # listener, and a get logged before its put replays the message
-        # back to life on recovery.
-        for stored in stored_batch:
-            queue.notify_put(stored)
-        for stored in stored_batch:
-            self._after_deliver(queue_name, stored)
+        # As in _deliver_local: listeners run inside the batch's group.
+        with self.group_commit() if queue.has_put_listeners else _NO_GROUP:
+            stored_batch = queue.put_many(messages, notify=False)
+            if self.journal is not None:
+                persistent = [
+                    (queue_name, stored)
+                    for stored in stored_batch
+                    if stored.is_persistent()
+                ]
+                if persistent:
+                    self.journal.log_put_many(persistent)
+            # Listeners fire only after the puts are staged: a push
+            # consumer may journal-visibly get the message inside the
+            # listener, and a get logged before its put replays the
+            # message back to life on recovery.
+            for stored in stored_batch:
+                queue.notify_put(stored)
+            for stored in stored_batch:
+                self._after_deliver(queue_name, stored)
         if self.metrics is not None:
             self.metrics.incr(f"puts.{self.name}", len(stored_batch))
         self._maybe_autocompact()
@@ -332,25 +353,16 @@ class QueueManager:
     def group_commit(self) -> "ContextManager":
         """Batch every journal record written inside the block into one flush.
 
-        Used by the conditional messaging service to make a whole
-        conditional send (data messages parked on transmission queues,
-        staged compensations, the sender-log entry) cost a single journal
-        flush.  A volatile manager returns a no-op context.
+        Every durable event is one group: a conditional send (data
+        messages parked on transmission queues, staged compensations, the
+        sender-log entry), a receiver's read (get, receiver-log entry,
+        spooled ack), an arrival together with the work its put listeners
+        do, and a decision.  A volatile manager returns a no-op context.
         """
         durable = self.journal or self.store
         if durable is None:
             return nullcontext(self)
-        return self._group_commit_then_compact(durable)
-
-    @contextmanager
-    def _group_commit_then_compact(self, durable) -> Iterator["QueueManager"]:
-        with durable.batch():
-            yield self
-        # The hook only fires once the group is durable: a batch that
-        # raises (including a simulated pre-flush crash) skips it.
-        if self.on_post_group is not None:
-            self.on_post_group()
-        self._maybe_autocompact()
+        return _Group(self, durable.batch())
 
     def post_durable(self, callback: "Callable[[], None]") -> None:
         """Run ``callback`` once the current commit group is durable.
@@ -373,14 +385,18 @@ class QueueManager:
         so syncpoint puts get identical durability and COA behaviour.
         """
         queue = self.queue(queue_name)
-        stored = queue.put(message, notify=False)
-        if self.journal is not None and stored.is_persistent():
-            self.journal.log_put(queue_name, stored)
-        # Listeners fire only after the put is journaled: a push consumer
-        # may journal-visibly get the message inside the listener, and a
-        # get logged before its put replays the message on recovery.
-        queue.notify_put(stored)
-        self._after_deliver(queue_name, stored)
+        # A queue with put listeners opens the commit group before the
+        # put: the listeners run inside it, so an arrival and the work it
+        # triggers (an ack's evaluation and decision) flush together.
+        with self.group_commit() if queue.has_put_listeners else _NO_GROUP:
+            stored = queue.put(message, notify=False)
+            if self.journal is not None and stored.is_persistent():
+                self.journal.log_put(queue_name, stored)
+            # Listeners fire only after the put is staged: a push consumer
+            # may journal-visibly get the message inside the listener, and
+            # a get logged before its put replays the message on recovery.
+            queue.notify_put(stored)
+            self._after_deliver(queue_name, stored)
         if self.metrics is not None:
             self.metrics.incr(f"puts.{self.name}")
         self._maybe_autocompact()

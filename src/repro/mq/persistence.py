@@ -70,9 +70,8 @@ import pickle
 import struct
 import zlib
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PersistenceError
 from repro.mq.message import DeliveryMode, Message
@@ -497,6 +496,25 @@ def _scan_journal(
 # ---------------------------------------------------------------------------
 
 
+class _CommitGroup:
+    """:meth:`Journal.batch`'s context: a depth counter on the journal."""
+
+    __slots__ = ("journal",)
+
+    def __init__(self, journal: "Journal") -> None:
+        self.journal = journal
+
+    def __enter__(self) -> "Journal":
+        self.journal._batch_depth += 1
+        return self.journal
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        journal = self.journal
+        journal._batch_depth -= 1
+        if journal._batch_depth == 0:
+            journal._end_group(exc_type is not None)
+
+
 class Journal(ABC):
     """Append-only operation log for one queue manager.
 
@@ -563,6 +581,7 @@ class Journal(ABC):
         self._batch_depth = 0
         self._batch_count = 0  # records the codec holds staged for the open batch
         self._post_commit_hooks: List[Callable[[], None]] = []
+        self._group = _CommitGroup(self)
 
     # -- store primitives ---------------------------------------------------
 
@@ -607,8 +626,7 @@ class Journal(ABC):
         """
         self._stage(records)
 
-    @contextmanager
-    def batch(self) -> Iterator["Journal"]:
+    def batch(self) -> _CommitGroup:
         """Buffer every append made inside the block into one commit group.
 
         Nested batches join the outermost group.  The group is written on
@@ -623,41 +641,35 @@ class Journal(ABC):
         to fire on the next unrelated commit.  A raising hook likewise
         clears every hook still queued (including ones registered by hooks
         that already ran) before the exception propagates.
+
+        The context is one object per journal and a depth counter, so
+        opening a group (nested or not) allocates nothing.
         """
-        self._batch_depth += 1
-        body_raised = False
+        return self._group
+
+    def _end_group(self, body_raised: bool) -> None:
+        """Outermost batch exit: write the group, then run its hooks."""
         try:
-            yield self
+            if self._batch_count:
+                count, self._batch_count = self._batch_count, 0
+                self._write_group(self.codec.take(), count)
+            elif body_raised:
+                # Nothing was staged and the block aborted: the hooks
+                # belong to work that never happened.
+                self._post_commit_hooks.clear()
         except BaseException:
-            body_raised = True
+            self._post_commit_hooks.clear()
             raise
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                try:
-                    if self._batch_count:
-                        count, self._batch_count = self._batch_count, 0
-                        self._write_group(self.codec.take(), count)
-                    elif body_raised:
-                        # Nothing was staged and the block aborted: the
-                        # hooks belong to work that never happened.
-                        self._post_commit_hooks.clear()
-                except BaseException:
-                    self._post_commit_hooks.clear()
-                    raise
-                try:
-                    while self._post_commit_hooks:
-                        hooks, self._post_commit_hooks = (
-                            self._post_commit_hooks,
-                            [],
-                        )
-                        for hook in hooks:
-                            hook()
-                except BaseException:
-                    # A hook died mid-run; hooks it (or its predecessors)
-                    # registered must not linger into the next commit.
-                    self._post_commit_hooks.clear()
-                    raise
+        try:
+            while self._post_commit_hooks:
+                hooks, self._post_commit_hooks = self._post_commit_hooks, []
+                for hook in hooks:
+                    hook()
+        except BaseException:
+            # A hook died mid-run; hooks it (or its predecessors)
+            # registered must not linger into the next commit.
+            self._post_commit_hooks.clear()
+            raise
 
     def post_commit(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` once currently-staged records are durable.

@@ -172,6 +172,11 @@ class MessageQueue:
         """
         self._put_listeners.append(listener)
 
+    @property
+    def has_put_listeners(self) -> bool:
+        """True once anything has subscribed to this queue's puts."""
+        return bool(self._put_listeners)
+
     # -- depth and inspection ------------------------------------------------
 
     def depth(self) -> int:

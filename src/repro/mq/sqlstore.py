@@ -46,9 +46,8 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EmptyQueueError, MQError, PersistenceError, QueueFullError
 from repro.mq.message import Message
@@ -253,6 +252,25 @@ def _earlier(watermark: Optional[int], expiry_ms: Optional[int]) -> Optional[int
     return expiry_ms if watermark is None else min(watermark, expiry_ms)
 
 
+class _Transaction:
+    """:meth:`SqlQueueStore.transaction`'s context: a depth counter."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: "SqlQueueStore") -> None:
+        self.store = store
+
+    def __enter__(self) -> "SqlQueueStore":
+        self.store._tx_depth += 1
+        return self.store
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        store = self.store
+        store._tx_depth -= 1
+        if store._tx_depth == 0:
+            store._finish_transaction()
+
+
 class SqlQueueStore:
     """One WAL-mode SQLite database holding queues as tables.
 
@@ -296,6 +314,7 @@ class SqlQueueStore:
         self.counts: Dict[str, SimpleNamespace] = {}
         self._tx_depth = 0
         self._tx_ops = 0
+        self._transaction = _Transaction(self)
         self._post_commit_hooks: List[Callable[[], None]] = []
         #: records_written high-water at the last ANALYZE (see
         #: :meth:`_maybe_analyze`).
@@ -323,8 +342,7 @@ class SqlQueueStore:
 
     # -- transactions ---------------------------------------------------------
 
-    @contextmanager
-    def transaction(self) -> Iterator["SqlQueueStore"]:
+    def transaction(self) -> _Transaction:
         """Group mutations into one SQL transaction (re-entrant).
 
         The SQL transaction begins at the group's first mutation, so a
@@ -334,16 +352,11 @@ class SqlQueueStore:
         business; durability of what *was* applied is ours), but a
         raising ``on_pre_flush`` hook rolls the whole group back — that is
         the chaos injector's "crash before the group hit disk" model.
+        The context is one object per store and a depth counter.
         """
-        self._tx_depth += 1
-        try:
-            yield self
-        finally:
-            self._tx_depth -= 1
-            if self._tx_depth == 0:
-                self._finish_transaction()
+        return self._transaction
 
-    def batch(self) -> ContextManager["SqlQueueStore"]:
+    def batch(self) -> _Transaction:
         """:meth:`transaction` under :meth:`Journal.batch`'s name (resolved per
         call, so a tracer wrapping :meth:`transaction` sees these groups too)."""
         return self.transaction()
@@ -601,6 +614,11 @@ class SqlMessageQueue:
     def subscribe(self, listener: Callable[[Message], None]) -> None:
         """Register a callback fired after every successful put."""
         self._put_listeners.append(listener)
+
+    @property
+    def has_put_listeners(self) -> bool:
+        """True once anything has subscribed to this queue's puts."""
+        return bool(self._put_listeners)
 
     def _note_depth(self) -> None:
         if self.metrics is not None:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.chaos import ChaosExplorer, EpisodeSpec
+from repro.chaos import ChaosExplorer, EpisodeSpec, FaultEvent
 from repro.core import control
 from repro.core.compensation import CompensationManager
 
@@ -132,3 +132,61 @@ class TestShrinking:
         assert any(
             v.invariant == "journal_coherence" for v in replayed.violations
         )
+
+
+class TestCrashInTheFinalSweep:
+    """The final sweep reads (and so flushes) outside the scheduler.  A
+    flush-armed crash that lands there is recovered like one in any
+    drain, and every read the sweep made durable before the crash stays
+    in the ledger."""
+
+    SEED = 2
+
+    def fault_free(self):
+        spec = EpisodeSpec.generate(self.SEED)
+        spec.plan.events = []
+        return spec
+
+    def sweep_flushes(self):
+        """Manager -> (flush ordinals before the first sweep, at the end) of
+        the fault-free episode, for managers the sweeps flush on.  Ordinals
+        count from fault installation, as ``at_flush`` does."""
+        marks = {}
+
+        def flushes():
+            return {name: j.flush_count for name, j in marks["harness"].journals.items()}
+
+        def on_harness(harness):
+            marks["harness"] = harness
+            marks["installed"] = flushes()  # set-up is done; nothing ran yet
+            sweep = harness.sweep
+
+            def marking_sweep():
+                marks.setdefault("swept", flushes())
+                return sweep()
+
+            harness.sweep = marking_sweep
+
+        assert ChaosExplorer(on_harness=on_harness).run_episode(self.fault_free()).ok
+        installed, swept, end = marks["installed"], marks["swept"], flushes()
+        return {
+            name: (swept[name] - installed[name], end[name] - installed[name])
+            for name in end
+            if end[name] > swept[name]
+        }
+
+    @pytest.mark.parametrize("phase", ["pre", "post"])
+    def test_every_sweep_flush_can_crash(self, phase):
+        sweeps = self.sweep_flushes()
+        assert sum(end - start for start, end in sweeps.values()) >= 3
+        for manager, (start, end) in sweeps.items():
+            for at_flush in range(start + 1, end + 1):
+                spec = self.fault_free()
+                spec.plan.events = [
+                    FaultEvent(
+                        kind="crash", manager=manager, at_flush=at_flush, phase=phase
+                    )
+                ]
+                result = ChaosExplorer().run_episode(spec)
+                assert result.crashes == 1, (manager, at_flush)
+                assert result.ok, (manager, at_flush, [str(v) for v in result.violations])

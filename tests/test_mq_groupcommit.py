@@ -375,12 +375,9 @@ class SimulatedCrash(BaseException):
     ``on_post_flush`` (it is durable, nothing after it happened)."""
 
 
-@pytest.mark.parametrize("scheme", sorted(JOURNAL_SCHEMES))
-@pytest.mark.parametrize("decision", ["success", "failure"])
-class TestDecisionIsOneCommitGroup:
-    """Outcome record, sender-log removal and compensation discard/release
-    are one commit group: wherever the sender dies while deciding, a
-    restart finds the message wholly undecided or wholly decided."""
+class SenderCrashes:
+    """A journaled sender, a volatile receiver, one conditional message,
+    and a crash at a chosen flush of the sender while it is decided."""
 
     PICKUP_MS = 1_000
 
@@ -448,6 +445,14 @@ class TestDecisionIsOneCommitGroup:
             sender.depth(queue) for queue in ("DS.SLOG.Q", "DS.COMP.Q", "DS.OUTCOME.Q")
         )
 
+
+@pytest.mark.parametrize("scheme", sorted(JOURNAL_SCHEMES))
+@pytest.mark.parametrize("decision", ["success", "failure"])
+class TestDecisionIsOneCommitGroup(SenderCrashes):
+    """Outcome record, sender-log removal and compensation discard/release
+    are one commit group: wherever the sender dies while deciding, a
+    restart finds the message wholly undecided or wholly decided."""
+
     def test_every_crash_point_recovers_undecided_or_decided(
         self, scheme, decision, tmp_path
     ):
@@ -480,6 +485,115 @@ class TestDecisionIsOneCommitGroup:
                 assert self.state(sender) == (0, 0, 1)
             (sender.journal or sender.store).close()
         assert seen == {(1, 1, 0), (0, 0, 1)}
+
+
+@pytest.mark.parametrize("scheme", sorted(JOURNAL_SCHEMES))
+class TestAckArrivalIsOneCommitGroup(SenderCrashes):
+    """An acknowledgment's arrival and the evaluation it triggers (the
+    ack's get, the decision) are one commit group: wherever the sender
+    dies while taking the ack in, a restart finds no acknowledgment left
+    on the ack queue, and the message wholly undecided or wholly
+    decided."""
+
+    def test_every_crash_point_leaves_no_unevaluated_ack(self, scheme, tmp_path):
+        store, flushes, _clock = self.run_to_crash(
+            scheme, "success", tmp_path / "dry", None
+        )
+        store.close()
+        seen = set()
+        for crash_at in range(flushes):
+            for hook in ("on_pre_flush", "on_post_flush"):
+                directory = tmp_path / f"{hook}{crash_at}"
+                store, _flushes, clock = self.run_to_crash(
+                    scheme, "success", directory, crash_at, hook
+                )
+                sender = self.restart(scheme, directory, clock, store)
+                state = (sender.depth("DS.ACK.Q"),) + self.state(sender)
+                # (ack queue, log entry, staged compensation, outcome)
+                assert state in {(0, 1, 1, 0), (0, 0, 0, 1)}, (hook, crash_at, state)
+                seen.add(state)
+                (sender.journal or sender.store).close()
+        assert seen == {(0, 1, 1, 0), (0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("scheme", sorted(JOURNAL_SCHEMES))
+class TestReadIsOneCommitGroup:
+    """A non-transactional read — the get, the receiver-log entry and the
+    acknowledgment spooled for the sender — is one commit group: wherever
+    the receiver dies while reading, a restart finds the message unread
+    (in the inbox, not logged, no ack) or read (gone, logged, one ack
+    spooled)."""
+
+    def run_to_crash(self, scheme, tmp_path, crash_at, hook="on_pre_flush"):
+        """Deliver one conditional message, stop the ack's channel, then
+        read with a crash raised from ``hook`` at the read's
+        ``crash_at``-th flush (None: no crash).  Returns the receiver's
+        store and the flushes the read made."""
+        from repro.core.builder import destination, destination_set
+        from repro.core.receiver import ConditionalMessagingReceiver
+        from repro.core.service import ConditionalMessagingService
+        from repro.mq.network import MessageNetwork
+
+        clock = SimulatedClock()
+        store = journal_factory_for(scheme, str(tmp_path), sync="none")("QM.R")
+        network = MessageNetwork(scheduler=None)
+        sender = network.add_manager(QueueManager("QM.S", clock))
+        remote = network.add_manager(QueueManager("QM.R", clock, journal=store))
+        remote.ensure_queue("Q.R")
+        network.connect("QM.S", "QM.R")
+        network.connect("QM.R", "QM.S")
+        receiver = ConditionalMessagingReceiver(remote, recipient_id="R1")
+        ConditionalMessagingService(sender).send_message(
+            {"n": 1},
+            destination_set(
+                destination("Q.R", manager="QM.R", recipient="R1"),
+                msg_pick_up_time=1_000,
+            ),
+        )
+        network.stop_channel("QM.R", "QM.S")  # the ack stays spooled
+        calls = []
+
+        def crash(_count):
+            calls.append(_count)
+            if len(calls) - 1 == crash_at:
+                raise SimulatedCrash()
+
+        setattr(store, hook, crash)
+        if crash_at is None:
+            assert receiver.read_message("Q.R").cmid is not None
+        else:
+            with pytest.raises(SimulatedCrash):
+                receiver.read_message("Q.R")
+        setattr(store, hook, None)
+        return store, len(calls)
+
+    def state(self, scheme, tmp_path, store):
+        """(inbox, receiver log, spooled acks) after a restart."""
+        if JOURNAL_SCHEMES[scheme][3]:  # path-backed: a new process reopens it
+            store.close()
+            store = journal_factory_for(scheme, str(tmp_path), sync="none")("QM.R")
+        remote = QueueManager.recover("QM.R", SimulatedClock(), store)
+        spool = "SYSTEM.XMIT.QM.S"
+        state = (
+            remote.depth("Q.R"),
+            remote.depth("DS.RLOG.Q") if remote.has_queue("DS.RLOG.Q") else 0,
+            remote.depth(spool) if remote.has_queue(spool) else 0,
+        )
+        store.close()
+        return state
+
+    def test_every_crash_point_recovers_unread_or_read(self, scheme, tmp_path):
+        store, flushes = self.run_to_crash(scheme, tmp_path / "dry", None)
+        assert self.state(scheme, tmp_path / "dry", store) == (0, 1, 1)
+        seen = set()
+        for crash_at in range(flushes):
+            for hook in ("on_pre_flush", "on_post_flush"):
+                directory = tmp_path / f"{hook}{crash_at}"
+                store, _flushes = self.run_to_crash(scheme, directory, crash_at, hook)
+                state = self.state(scheme, directory, store)
+                assert state in {(1, 0, 0), (0, 1, 1)}, (hook, crash_at, state)
+                seen.add(state)
+        assert seen == {(1, 0, 0), (0, 1, 1)}
 
 
 class TestAutoCompaction:

@@ -10,12 +10,15 @@ the queue's own counter; *visits* are calls of ``Message.is_expired`` /
 ends up calling (visibility check, control-property decode).
 """
 
+import contextlib
 import cProfile
+import os
 import pstats
 import re
 
 import pytest
 
+import repro
 import repro.core.satisfaction as satisfaction
 from repro.core.acks import Acknowledgment, AckKind, ack_to_message
 from repro.core.builder import destination, destination_set
@@ -187,9 +190,10 @@ def journal_totals(bed):
 def test_a_fanout_send_writes_each_payload_once_on_a_binary_journal():
     """The send group — 8 spooled copies, 8 staged compensations and the
     sender-log entry, all carrying the same two application objects — is
-    one frame holding each object once; the logical records and flushes
-    of a whole conditional message are what they always were, and its
-    bytes stay under a pinned bound."""
+    one frame holding each object once; the logical records of a whole
+    conditional message are what they always were, it flushes once per
+    durable event (1 send, 8 arrivals, 8 reads, 8 ack arrivals with their
+    evaluation, 1 outcome get), and its bytes stay under a pinned bound."""
     bed = Testbed(
         FANOUT8,
         latency_ms=1,
@@ -221,10 +225,47 @@ def test_a_fanout_send_writes_each_payload_once_on_a_binary_journal():
     assert send_group.count(b"BODY-MARKER") == 1  # 8 before the shared memo
     assert send_group.count(b"COMP-MARKER") == 1  # 8 before the shared memo
     after = journal_totals(bed)
-    assert (after[0] - records, after[1] - flushes) == (76, 50)
-    # 2 KB of user payload; 24.2 KB measured (54.5 KB before): the send
+    assert (after[0] - records, after[1] - flushes) == (76, 26)
+    # 2 KB of user payload; 22.5 KB measured (54.5 KB before): the send
     # group plus one copy in each of the eight receivers' own journals.
     assert after[2] - nbytes <= 25_500
+
+
+@pytest.mark.parametrize("scheme", sorted(persistence.JOURNAL_SCHEMES))
+def test_a_commit_group_writes_nothing_of_its_own(scheme, tmp_path):
+    """Every read and every arrival with a listener opens a group, so a
+    group must cost no write: an empty group flushes nothing, and groups
+    nested inside one another flush once, at the outermost exit."""
+    store = journal_factory_for(scheme, str(tmp_path), sync="none")("QM.S")
+    manager = QueueManager("QM.S", SimulatedClock(), journal=store)
+    manager.define_queue("A.Q")
+
+    def written():
+        return store.flush_count, store.records_written
+
+    before = written()
+    for _ in range(3):
+        with manager.group_commit():
+            with manager.group_commit():
+                pass
+    assert written() == before
+    with manager.group_commit():
+        manager.put("A.Q", Message(body=1))
+        with manager.group_commit():
+            manager.put("A.Q", Message(body=2))
+            with manager.group_commit():
+                pass
+        assert written() == before  # nothing leaves before the outermost exit
+    assert written() == (before[0] + 1, before[1] + 2)
+
+    def empty_group():
+        with manager.group_commit():
+            pass
+
+    # One context object per layer and a depth counter: ten calls through
+    # the manager, the journal or store and auto-compaction.
+    assert python_calls(empty_group) <= 10
+    store.close()
 
 
 class WalkCountingList(list):
@@ -288,8 +329,8 @@ def test_a_sql_store_writes_messages_not_bookkeeping(tmp_path):
     """Every statement a fan-out-8 conditional message costs on ``sqlstore``
     stores: after set-up nothing touches the queue registry, nothing asks
     for an expiry watermark while no message carries an expiry, a
-    transaction begins only for a commit group that writes, and what it
-    writes is one row per put or get."""
+    transaction begins only for a commit group that writes, one per
+    durable event, and what it writes is one row per put or get."""
     bed = Testbed(
         FANOUT8,
         latency_ms=1,
@@ -326,13 +367,28 @@ def test_a_sql_store_writes_messages_not_bookkeeping(tmp_path):
     flushes, records, puts_and_gets = (a - b for a, b in zip(totals(), before))
     for store in bed.journals.values():
         store._con.set_trace_callback(None)
-    assert flushes > 0
+    # One transaction per durable event: the 26 commit groups of the binary
+    # journal, plus the 16 spool resolutions the store also commits.
+    assert flushes == 3 * 42
     assert [s for s in statements if re.search(r"\bqueues\b", s)] == []
     assert [s for s in statements if "MIN(expiry_ms)" in s] == []
     assert len([s for s in statements if s.startswith("BEGIN")]) == flushes
     assert records == puts_and_gets
     for journal in bed.journals.values():
         journal.close()
+
+
+def python_calls(action):
+    """Calls of functions defined in ``repro`` or ``contextlib`` during ``action()``."""
+    profiler = cProfile.Profile()
+    profiler.runcall(action)
+    roots = (os.path.dirname(repro.__file__), contextlib.__file__)
+    return sum(
+        calls
+        for (filename, _line, _name), (_primitive, calls, *_times)
+        in pstats.Stats(profiler).stats.items()
+        if filename.startswith(roots)
+    )
 
 
 def satisfaction_calls(action):
