@@ -4,11 +4,14 @@ Usage (what the CI benchmark-smoke job runs)::
 
     cp BENCH_persistence.json /tmp/persistence.json   # committed baselines
     cp BENCH_query.json /tmp/query.json
+    cp BENCH_restart.json /tmp/restart.json
     pytest benchmarks/test_persistence_backends.py
     BENCH_SHORT=1 pytest benchmarks/test_query.py
+    pytest benchmarks/test_restart_scaling.py
     python benchmarks/check_bench_regression.py \
         --gate /tmp/persistence.json:BENCH_persistence.json \
-        --gate /tmp/query.json:BENCH_query.json:0.5
+        --gate /tmp/query.json:BENCH_query.json:0.5 \
+        --gate /tmp/restart.json:BENCH_restart.json
 
 Each ``--gate baseline:current[:tolerance]`` pair is compared on what the
 file carries (auto-detected from its shape), and only on what does not
@@ -18,6 +21,10 @@ depend on the machine — no wall-clock rate is gated:
   ``bytes_per_send`` of each store.  **Zero tolerance upward**, whatever
   tolerance the gate was given: one more record or byte per send than the
   committed baseline fails, fewer asks for the baseline to be refreshed.
+* ``BENCH_restart.json`` — per restart shape, the exact
+  ``messages_live``, ``messages_decoded`` and ``records_scanned``, gated
+  the same way: a restart that resurrects or reads more than the
+  committed baseline fails.
 * ``BENCH_query.json`` — ``speedup_10k``, the worst selector-pushdown
   speedup over the linear scan at depth 10k;
 * ``BENCH_pubsub.json`` — ``speedup_10k_subs``, the subscription-trie
@@ -40,6 +47,9 @@ DEFAULT_TOLERANCE = 0.25
 RATIO_FIELDS = ("speedup_10k", "speedup_10k_subs")
 #: exact per-backend counts of ``BENCH_persistence.json`` (lower is better)
 COUNT_FIELDS = ("records_per_send", "bytes_per_send")
+#: exact per-shape counts of ``BENCH_restart.json`` (lower is better)
+RESTART_SHAPES = ("all_live", "consumed")
+RESTART_FIELDS = ("messages_live", "messages_decoded", "records_scanned")
 
 
 def _load(path):
@@ -66,12 +76,21 @@ def extract_ratios(path, data):
 
 def extract_counts(data):
     """name -> exact count, for the shapes that carry any."""
-    return {
+    counts = {
         f"{entry.get('backend', '?')} {field}": entry[field]
         for entry in data.get("backends", ())
         for field in COUNT_FIELDS
         if field in entry
     }
+    for shape in RESTART_SHAPES:
+        entry = data.get(shape)
+        if isinstance(entry, dict):
+            counts.update(
+                (f"{shape} {field}", entry[field])
+                for field in RESTART_FIELDS
+                if field in entry
+            )
+    return counts
 
 
 def check_counts(current_path, baseline, current):
@@ -136,7 +155,8 @@ def check_gate(baseline_path, current_path, tolerance):
         (baseline_path, baseline, baseline_ratios),
         (current_path, current, current_ratios),
     ):
-        if "backends" not in data and not ratios:
+        counted = ("backends", *RESTART_SHAPES)
+        if not any(key in data for key in counted) and not ratios:
             raise SystemExit(
                 f"{path}: unrecognized benchmark shape (keys {sorted(data)})"
             )

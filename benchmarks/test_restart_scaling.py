@@ -9,8 +9,8 @@ needed healing).  This bench restarts a fan-out-8 deployment on
 
 * **all live** — every manager checkpoints, then 500 conditional
   messages are sent and left unread: a snapshot plus a raw log in which
-  every record is still live (the shape ``benchmarks/e2e`` restarts
-  from);
+  every message is still live but the spool copies already transferred
+  (the shape ``benchmarks/e2e`` restarts from);
 * **consumed** — 3,000 conditional messages sent, read by all eight
   receivers and decided, with no explicit checkpoint: every inbox put is
   dead, and so is most of the sender's log since its last
@@ -37,6 +37,18 @@ is left as found), 2.5-3.3 s.  What the consumed restart still pays is one
 ``pickle.loads`` per record ever logged, most of it cyclic-GC passes
 over the growing record list (1.3 s with the collector off): ROADMAP
 direction 2's record format, not this bench's subject.
+
+Since spool resolution is logged (one ``resolve`` record riding the next
+commit group of the source), transferred copies stop resurrecting.  All
+live: 13,055 scanned (+500 ``resolve`` records) / 8,500 live / 8,500
+decoded (12,500 before: the 8 parked copies of each send were live),
+nothing rewritten, 0.26-0.29 s.  Consumed: 155,085 scanned (+9
+``resolve`` records per message) / 24,000 live / 24,000 decoded (53,824
+before; what is left is the receivers' ``DS.RLOG.Q`` entries, which
+nothing prunes yet), all 9 logs / 6.0 MB rewritten (each receiver log is
+now more than half dead), 3.0-3.4 s: the scan of every record ever
+logged, not the decode, is what a consumed restart pays.  ``benchmarks/check_bench_regression.py`` gates the
+three counts of each shape at zero tolerance upward.
 
 Results land in ``BENCH_restart.json`` at the repo root.  Only the
 machine-independent facts are asserted — decoded == live in both shapes,

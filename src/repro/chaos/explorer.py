@@ -567,6 +567,7 @@ class ChaosHarness:
             return journal
         path = journal.path
         codec_name = journal.codec.name
+        journal.discard_pending()  # the crash loses what no group wrote
         torn = journal.codec.encode_record(
             {"op": "put", "queue": "TORN.Q", "message": {"torn": True}}
         )[:-5]
@@ -590,8 +591,13 @@ class ChaosHarness:
         )
 
     def close(self) -> None:
-        """Release journal store handles and any temporary directory."""
+        """Release journal store handles and any temporary directory.
+
+        The episode is over and checked: teardown writes nothing more,
+        so a store's flush ordinals end where the episode's did.
+        """
         for journal in self.journals.values():
+            journal.discard_pending()
             journal.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()

@@ -17,6 +17,9 @@ Responsibilities:
 * backout-threshold handling: a message whose transactional consumption
   has been rolled back too many times is moved to the dead-letter queue
   rather than poisoning consumers forever;
+* the sequence state of its channels (:mod:`repro.mq.sequence`): the last
+  seq stamped toward each peer, and the watermark of seqs accepted from
+  each, durable in the commit groups of the parks and arrivals they number;
 * crash/restart: :meth:`recover` rebuilds a manager from its journal.
 """
 
@@ -24,7 +27,17 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import (
     EmptyQueueError,
@@ -36,6 +49,7 @@ from repro.mq.message import Message
 from repro.mq.persistence import Journal, journal_for
 from repro.mq.sqlstore import SqlMessageQueue, SqlQueueStore
 from repro.mq.queue import DEFAULT_MAX_DEPTH, MessageQueue
+from repro.mq.sequence import PROP_ROUTE_SEQ, XMIT_PREFIX, SeqWatermark
 from repro.mq.transactions import MQTransaction
 from repro.mq import reports as reports_mod
 from repro.obs.registry import MetricsRegistry
@@ -53,11 +67,6 @@ from repro.sim.clock import Clock
 
 #: Name of the automatically defined dead-letter queue.
 DEAD_LETTER_QUEUE = "SYSTEM.DEAD.LETTER.QUEUE"
-
-#: Prefix of per-target transmission queues (owned by the network layer,
-#: defined here so the manager can recognize transit queues without a
-#: circular import; :mod:`repro.mq.network` re-exports it).
-XMIT_PREFIX = "SYSTEM.XMIT."
 
 #: The context of a put whose queue has no listeners: no group of its own.
 _NO_GROUP = nullcontext()
@@ -145,8 +154,13 @@ class QueueManager:
         #: queue definitions"
         self._remote_definitions: Dict[str, tuple] = {}
         self._remote_put_handler: Optional[Callable[[str, str, Message], None]] = None
+        #: peer -> last seq stamped on a copy parked for it
+        self._sent: Dict[str, int] = {}
+        #: peer -> watermark of the seqs accepted from it
+        self._accepted: Dict[str, SeqWatermark] = {}
         self.define_queue(DEAD_LETTER_QUEUE, journal_definition=False)
         if self.store is not None:
+            self._restore_channels(self.store.channels(name))
             # Attaching to a shared store: pick up queues that already
             # exist there (defined by a previous incarnation or by
             # another manager sharing the store).
@@ -378,20 +392,155 @@ class QueueManager:
         else:
             callback()
 
-    def _deliver_local(self, queue_name: str, message: Message) -> Message:
+    # -- channels ---------------------------------------------------------------
+
+    def next_spool_seq(self, peer: str, message: Message) -> Optional[int]:
+        """The seq to stamp on ``message``, about to be parked for ``peer``.
+
+        ``None`` for a copy no restart could re-drive — a non-persistent
+        one on a log store — which then travels without a seq: numbering
+        it would hand out a seq the recovered counter cannot know of.  The
+        counter is durable with the park: the copy's own journal record
+        carries its seq, and on ``sqlstore`` the channels row joins the
+        park's transaction.
+        """
+        if self.store is None and not message.is_persistent():
+            return None
+        seq = self._sent[peer] = self._sent.get(peer, 0) + 1
+        if self.store is not None:
+            self._note_channel(peer)
+        return seq
+
+    def put_inbound(
+        self,
+        queue_name: str,
+        message: Message,
+        channel: Optional[Tuple[str, int]] = None,
+    ) -> Optional[Message]:
+        """Put an arrival over a channel, at most once per seq.
+
+        ``channel`` is ``(peer, seq)``: the manager the hop came from and
+        the seq it stamped (``None``: a copy without one, put as it is).
+        Returns ``None`` and stores nothing when the peer's watermark
+        covers the seq already — consumed messages included.  Otherwise
+        the put and the watermark's advance are one commit group: the
+        journal's arrival record carries ``(peer, seq)``, and on
+        ``sqlstore`` the channels row joins the put's transaction.
+        """
+        if channel is not None and self.has_accepted(*channel):
+            return None
+        return self._deliver_local(queue_name, message, channel)
+
+    def has_accepted(self, peer: str, seq: int) -> bool:
+        """True if ``peer``'s watermark covers ``seq``."""
+        accepted = self._accepted.get(peer)
+        return accepted is not None and accepted.covers(seq)
+
+    def last_spool_seq(self, peer: str) -> int:
+        """The last seq stamped on a copy parked for ``peer`` (0: none)."""
+        return self._sent.get(peer, 0)
+
+    def settle_inbound(self, peer: str, floor: int) -> None:
+        """Accept every seq from ``peer`` below ``floor``.
+
+        The network calls this when ``peer`` holds no parked copy for
+        this manager below ``floor``: a seq down there was delivered, or
+        left the spool without a transfer (expired) and never will be,
+        so a hole it left in the watermark is closed instead of holding
+        every later seq in the out-of-order set.  Durable with the next
+        snapshot or channels row; losing it only reopens the hole.
+        """
+        if floor <= 1:
+            return
+        self._accepted.setdefault(peer, SeqWatermark()).settle(floor)
+        if self.store is not None:
+            self._note_channel(peer)
+
+    def accepted_out_of_order(self) -> int:
+        """Seqs accepted above their channel's cumulative watermark."""
+        return sum(len(accepted.above) for accepted in self._accepted.values())
+
+    def resolve_spooled(self, peer: str, message_id: str) -> None:
+        """Drop a transferred copy from ``peer``'s transmission queue.
+
+        It leaves the visible queue (depth, browse, lookups, counts) now.
+        The durable removal joins the next commit group this manager
+        writes anyway: on a log store as one ``resolve`` record per group
+        (:meth:`Journal.log_resolved`), on ``sqlstore`` as a row delete in
+        that group's transaction (:meth:`SqlQueueStore.deferred`).
+        :meth:`checkpoint` and closing the store write what is left; a
+        crash in between re-drives the copy, and the target's watermark
+        drops it.
+        """
+        queue = self.queue(XMIT_PREFIX + peer)
+        if self.store is not None:
+            self.store.deferred(lambda: queue.get_by_id(message_id))
+            return
+        message = queue.get_by_id(message_id)
+        seq = message.properties.get(PROP_ROUTE_SEQ)
+        if self.journal is not None and seq is not None:
+            self.journal.log_resolved(peer, seq)
+
+    def _note_channel(self, peer: str) -> None:
+        """Stage ``peer``'s channel row for the store's next commit."""
+        self.store.note_channel(
+            self.name,
+            peer,
+            self._sent.get(peer, 0),
+            self._accepted.get(peer) or SeqWatermark(),
+        )
+
+    def _channel_rows(self) -> List[tuple]:
+        """``(peer, sent, accepted, above)`` per peer: a snapshot's channels."""
+        return [
+            (
+                peer,
+                self._sent.get(peer, 0),
+                *self._accepted.get(peer, SeqWatermark()).state(),
+            )
+            for peer in sorted(self._sent.keys() | self._accepted.keys())
+        ]
+
+    def _restore_channels(
+        self, channels: Dict[str, Tuple[int, SeqWatermark]]
+    ) -> None:
+        for peer, (sent, accepted) in channels.items():
+            self._sent[peer] = sent
+            self._accepted[peer] = accepted
+
+    def _deliver_local(
+        self,
+        queue_name: str,
+        message: Message,
+        channel: Optional[Tuple[str, int]] = None,
+    ) -> Message:
         """Store a committed put: journal, arrival report, trace.
 
-        Shared by the non-transactional put path and transaction commit,
-        so syncpoint puts get identical durability and COA behaviour.
+        Shared by the non-transactional put path, transaction commit and
+        channel arrivals, so syncpoint puts get identical durability and
+        COA behaviour.
         """
         queue = self.queue(queue_name)
         # A queue with put listeners opens the commit group before the
         # put: the listeners run inside it, so an arrival and the work it
-        # triggers (an ack's evaluation and decision) flush together.
-        with self.group_commit() if queue.has_put_listeners else _NO_GROUP:
+        # triggers (an ack's evaluation and decision) flush together.  On
+        # sqlstore an arrival over a channel opens it too, so its channels
+        # row commits with the put (a journal's arrival row carries it).
+        grouped = queue.has_put_listeners or (
+            channel is not None and self.store is not None
+        )
+        with self.group_commit() if grouped else _NO_GROUP:
             stored = queue.put(message, notify=False)
+            if channel is not None:
+                peer, seq = channel
+                accepted = self._accepted.get(peer)
+                if accepted is None:
+                    accepted = self._accepted[peer] = SeqWatermark()
+                accepted.accept(seq)
+                if self.store is not None:
+                    self._note_channel(peer)
             if self.journal is not None and stored.is_persistent():
-                self.journal.log_put(queue_name, stored)
+                self.journal.log_put(queue_name, stored, channel)
             # Listeners fire only after the put is staged: a push consumer
             # may journal-visibly get the message inside the listener, and
             # a get logged before its put replays the message on recovery.
@@ -545,11 +694,6 @@ class QueueManager:
         """
         return self.queue(queue_name).find_correlated(correlation_id)
 
-    def contains_id(self, queue_name: str, message_id: str) -> bool:
-        """True if a local queue stores a message with ``message_id``
-        (locked ones included)."""
-        return self.queue(queue_name).contains_id(message_id)
-
     def depth(self, queue_name: str) -> int:
         """Visible depth of a local queue."""
         return self.queue(queue_name).depth()
@@ -621,8 +765,9 @@ class QueueManager:
     def checkpoint(self) -> None:
         """Compact the journal to a snapshot of current persistent state."""
         if self.store is not None:
-            # Nothing to compact — the store has no replay log.  Fold the
-            # WAL back into the main database file instead.
+            # Nothing to compact — the store has no replay log.  Commit
+            # deferred resolutions and fold the WAL back into the main
+            # database file instead.
             self.store.sync()
             return
         if self.journal is None:
@@ -632,7 +777,7 @@ class QueueManager:
         snapshot = {
             name: queue.snapshot() for name, queue in self._queues.items()
         }
-        self.journal.checkpoint(snapshot)
+        self.journal.checkpoint(snapshot, self._channel_rows())
 
     @classmethod
     def recover(
@@ -659,8 +804,10 @@ class QueueManager:
         the log is rewritten only when that pays or heals — when at least
         half of what was replayed is dead (``journal.size()`` is twice
         what a checkpoint would write: two markers, one ``define`` per
-        queue, one ``put`` per live message), or when the replay skipped a
-        corrupt tail.  Otherwise the log is left exactly as found, and
+        queue, one ``put`` per live message, one ``channel`` per peer), or
+        when the replay skipped a corrupt tail.  Resolutions the crashed
+        incarnation had not written are dropped, and the channels' seqs
+        come back with the queues.  Otherwise the log is left exactly as found, and
         ``compaction_threshold`` bounds its growth as it does mid-run.
         What the restart did is on the journal (``recover_records``,
         ``recover_live``, ``recover_compacted``) and, with a registry, on
@@ -669,6 +816,8 @@ class QueueManager:
         started = time.perf_counter()
         if isinstance(journal, str):
             journal = journal_for(journal)
+        # Resolutions no group wrote died with the crashed incarnation.
+        journal.discard_pending()
         if isinstance(journal, SqlQueueStore):
             # Store mode: recovery is opening the database.  No replay —
             # the rows are the state.  Presumed abort releases only THIS
@@ -703,6 +852,7 @@ class QueueManager:
             if not manager.has_queue(queue_name):
                 manager.define_queue(queue_name, journal_definition=False)
             manager.queue(queue_name).restore(messages)
+        manager._restore_channels(journal.recovered_channels)
         # Re-attach the journal only after restore so recovery itself is
         # not re-journaled.
         manager.journal = journal
@@ -711,7 +861,12 @@ class QueueManager:
         # Rewriting a log that is mostly live removes little and costs a
         # full re-encode; from half dead on, the rewrite at least halves
         # every later replay.  A skipped tail is rewritten away as well.
-        snapshot_records = 2 + len(manager._queues) + journal.recover_live
+        snapshot_records = (
+            2
+            + len(manager._queues)
+            + len(journal.recovered_channels)
+            + journal.recover_live
+        )
         journal.recover_compacted = int(
             journal.skipped_trailing_records != 0
             or journal.size() >= 2 * snapshot_records

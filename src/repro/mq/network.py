@@ -13,10 +13,15 @@ This module reproduces that model over the simulation scheduler:
   dropped, matching "reliable messaging");
 * remote puts go through a per-manager handler installed with
   :meth:`QueueManager.attach_network`; the message is wrapped with a
-  routing envelope and parked on ``SYSTEM.XMIT.<target>``;
+  routing envelope, stamped with the channel's next sequence number and
+  parked on ``SYSTEM.XMIT.<target>`` (:mod:`repro.mq.sequence`);
 * a scheduled event per message performs the transfer after the sampled
   delay, auto-creating the destination queue if the target manager allows
-  it (otherwise the message dead-letters on the target).
+  it (otherwise the message dead-letters on the target);
+* the target accepts each seq once (:meth:`QueueManager.put_inbound`:
+  its watermark is durable with the arrival), and the source then
+  resolves its parked copy — a logged removal that rides the source's
+  next commit group (:meth:`QueueManager.resolve_spooled`).
 
 Without a scheduler the network delivers synchronously (zero latency),
 which the unit tests of higher layers use for brevity.
@@ -28,11 +33,12 @@ import abc
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ChannelError, MQError, QueueManagerNotFoundError
 from repro.mq.manager import DEAD_LETTER_QUEUE, XMIT_PREFIX, QueueManager
 from repro.mq.message import Message
+from repro.mq.sequence import PROP_ROUTE_SEQ
 from repro.net.rtt import RttEstimator
 from repro.obs.trace import NULL_TRACER, STAGE_XMIT, Tracer, cmid_of
 from repro.sim.scheduler import EventScheduler
@@ -51,6 +57,7 @@ __all__ = [
 #: Routing-envelope property names.
 PROP_ROUTE_TARGET_MANAGER = "SYS_ROUTE_TO_QM"
 PROP_ROUTE_TARGET_QUEUE = "SYS_ROUTE_TO_Q"
+_ENVELOPE = (PROP_ROUTE_TARGET_MANAGER, PROP_ROUTE_TARGET_QUEUE, PROP_ROUTE_SEQ)
 
 
 class Transport(abc.ABC):
@@ -72,7 +79,9 @@ class Transport(abc.ABC):
     Both park outbound messages on durable ``SYSTEM.XMIT.<peer>``
     transmission queues before anything crosses the channel, so a crash
     on either side leaves an in-doubt journaled copy rather than a lost
-    or duplicated message.
+    message.  :class:`MessageNetwork` makes a re-driven copy harmless
+    with the target's durable per-channel watermark; ``WireHost`` still
+    dedups by message id.
     """
 
     @abc.abstractmethod
@@ -99,9 +108,9 @@ class ChannelStats:
     delivered: int = 0
     failed_attempts: int = 0
     dead_lettered: int = 0
-    #: redeliveries suppressed by the exactly-once resolution check (a
-    #: crashed source resurrecting an already-transferred parked message,
-    #: or an injected duplicate transfer)
+    #: redeliveries the target's watermark dropped (a crashed source
+    #: re-driving a copy whose resolution it had not logged yet, or an
+    #: injected duplicate transfer)
     duplicates_suppressed: int = 0
 
 
@@ -166,15 +175,13 @@ class MessageNetwork(Transport):
             messages go to the target's dead-letter queue.
         tracer: Lifecycle tracer stamping ``xmit`` events when messages
             park on transmission queues (no-op by default).
-        exactly_once: When True (default), final delivery records every
-            transferred ``(target, queue, message_id)`` and suppresses
-            redeliveries — the simulation analogue of MQ channel
-            sequence-number resynchronisation.  A crashed source manager
-            resurrects already-transferred parked messages from its
-            journal (the transfer-time removal is deliberately not
-            journaled: the parked copy is the channel's in-doubt record);
-            re-driving them must not deliver twice.  Disable only for
-            ablation runs that want to observe the duplicates.
+        exactly_once: When True (default), every hop's target accepts a
+            parked copy's channel seq once, against a watermark durable
+            with the arrival — MQ channel sequence numbers.  The source
+            logs a copy's resolution lazily, so a crash re-drives copies
+            already transferred (consumed ones included); the watermark
+            drops them.  Disable only for ablation runs that want to
+            observe the duplicates.
     """
 
     def __init__(
@@ -197,9 +204,6 @@ class MessageNetwork(Transport):
         self._channels: Dict[Tuple[str, str], Channel] = {}
         #: (source, final target) -> next hop, for multi-hop forwarding
         self._routes: Dict[Tuple[str, str], str] = {}
-        #: (target manager, queue, message_id) of every completed final
-        #: delivery — the exactly-once resolution record
-        self._delivered: Set[Tuple[str, str, str]] = set()
 
     # -- topology ---------------------------------------------------------------
 
@@ -214,9 +218,9 @@ class MessageNetwork(Transport):
     def reattach_manager(self, manager: QueueManager) -> QueueManager:
         """Replace a registered manager with its post-crash incarnation.
 
-        Channels, routes and delivery records are untouched; only the
-        manager object (rebuilt by :meth:`QueueManager.recover`) is
-        swapped and re-handled.  Call :meth:`redrive` afterwards to
+        Channels and routes are untouched; only the manager object
+        (rebuilt by :meth:`QueueManager.recover`) is swapped and
+        re-handled.  Call :meth:`redrive` afterwards to
         re-attempt any parked transmission-queue messages the journal
         resurrected.
         """
@@ -358,7 +362,7 @@ class MessageNetwork(Transport):
         them (the old events either fired against the dead manager or
         no-op on the empty recovered queue).  Re-driving schedules a
         fresh attempt per parked message; already-delivered messages are
-        resolved without redelivery by the exactly-once check.
+        resolved without redelivery by the target's watermark.
         """
         for chan in self._channels.values():
             if not chan.stopped:
@@ -378,19 +382,40 @@ class MessageNetwork(Transport):
         if source == target:
             self.manager(source).put(queue_name, message)
             return
+        self._park(source, target, queue_name, message)
+
+    def _park(
+        self,
+        source: str,
+        target: str,
+        queue_name: str,
+        message: Message,
+        inbound: Optional[Tuple[str, int]] = None,
+    ) -> bool:
+        """Envelope, stamp and park ``message`` on ``source``'s transmission
+        queue toward ``target``; false when ``inbound`` — the ``(peer,
+        seq)`` a forwarding hop received it over — was accepted already."""
         chan = self._hop_channel(source, target)
         src_manager = self.manager(source)
-        enveloped = message.with_properties(
-            **{
-                PROP_ROUTE_TARGET_MANAGER: target,
-                PROP_ROUTE_TARGET_QUEUE: queue_name,
-            }
-        ).copy(source_manager=message.source_manager or source)
+        if inbound is not None and src_manager.has_accepted(*inbound):
+            return False
         # Transmission queues are per next hop (the channel's endpoint),
         # not per final target: multi-hop traffic shares the hop's queue.
         xmit_name = XMIT_PREFIX + chan.target
         src_manager.ensure_queue(xmit_name)
-        src_manager.put(xmit_name, enveloped)
+        # The final target is named only when it is not the hop's own: a
+        # single hop's envelope is the queue and the seq, no larger in the
+        # journal than the two names it carried before the seq.
+        envelope: Dict[str, object] = {PROP_ROUTE_TARGET_QUEUE: queue_name}
+        if target != chan.target:
+            envelope[PROP_ROUTE_TARGET_MANAGER] = target
+        seq = src_manager.next_spool_seq(chan.target, message)
+        if seq is not None:
+            envelope[PROP_ROUTE_SEQ] = seq
+        enveloped = message.with_properties(**envelope).copy(
+            source_manager=message.source_manager or source
+        )
+        src_manager.put_inbound(xmit_name, enveloped, inbound)
         chan.stats.sent += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -419,6 +444,7 @@ class MessageNetwork(Transport):
                 else self._schedule_attempt
             )
             src_manager.post_durable(lambda: start(chan, message_id))
+        return True
 
     def _schedule_attempt(self, chan: Channel, message_id: str) -> None:
         assert self.scheduler is not None
@@ -478,14 +504,13 @@ class MessageNetwork(Transport):
             return  # already transferred (e.g. drained after a partition healed)
         # Deliver first, resolve the parked copy after: a target crash
         # mid-delivery then leaves the message parked for a later
-        # re-attempt instead of losing it.  The resolution is a
-        # queue-level removal on purpose — the journaled parked copy is
-        # the channel's in-doubt record, and a crashed source re-drives
-        # it through the exactly-once check instead of losing or
-        # duplicating the message.
+        # re-attempt instead of losing it.  The resolution leaves the
+        # visible spool now and the source's log with its next commit
+        # group; a crash in between re-drives the copy, and the target's
+        # durable watermark drops it.
         self._deliver(chan, enveloped)
         try:
-            src_manager.queue(xmit_name).get_by_id(message_id)
+            src_manager.resolve_spooled(chan.target, message_id)
         except MQError:
             pass  # raced with another resolution of the same attempt
         entry = chan.inflight.pop(message_id, None)
@@ -498,76 +523,43 @@ class MessageNetwork(Transport):
             )
 
     def _deliver(self, chan: Channel, enveloped: Message) -> None:
-        final_target = str(enveloped.get_property(PROP_ROUTE_TARGET_MANAGER))
-        queue_name = str(enveloped.get_property(PROP_ROUTE_TARGET_QUEUE))
+        envelope = enveloped.properties
+        final_target = envelope.get(PROP_ROUTE_TARGET_MANAGER, chan.target)
+        queue_name = str(envelope.get(PROP_ROUTE_TARGET_QUEUE))
+        seq = envelope.get(PROP_ROUTE_SEQ)
+        inbound = (
+            (chan.source, seq) if self.exactly_once and seq is not None else None
+        )
+        # Strip this hop's envelope.  The stripped dict is a subset of an
+        # already-validated one; skip re-validation.
+        final = enveloped.copy()
+        final.properties = {k: v for k, v in envelope.items() if k not in _ENVELOPE}
+        target_manager = self.manager(chan.target)
         if final_target != chan.target:
             # Intermediate hop: forward toward the final target using the
             # hop manager's own channels/routes (multi-hop
-            # store-and-forward).  Strip this hop's envelope; send()
-            # re-envelopes for the next hop.
-            stripped = enveloped.copy()
-            # Subset of an already-validated dict; skip re-validation.
-            stripped.properties = {
-                k: v
-                for k, v in enveloped.properties.items()
-                if k not in (PROP_ROUTE_TARGET_MANAGER, PROP_ROUTE_TARGET_QUEUE)
-            }
-            chan.stats.delivered += 1
-            self.send(chan.target, final_target, queue_name, stripped)
-            return
-        target_manager = self.manager(chan.target)
-        key = (chan.target, queue_name, enveloped.message_id)
-        if self.exactly_once:
-            # Suppress a redelivery when the transfer already completed:
-            # the resolution record covers the common case, the
-            # queue-presence check (locked copies count) the narrow one
-            # where a target crash after the durable delivery flush lost
-            # the record.
-            if key in self._delivered or (
-                target_manager.has_queue(queue_name)
-                and target_manager.contains_id(queue_name, enveloped.message_id)
-            ):
-                self._record_delivered(target_manager, key)
+            # store-and-forward); the re-park is the hop's arrival.
+            if self._park(chan.target, final_target, queue_name, final, inbound):
+                chan.stats.delivered += 1
+            else:
                 chan.stats.duplicates_suppressed += 1
-                return
-        # Strip the routing envelope before final delivery.  The stripped
-        # dict is a subset of an already-validated one; skip re-validation.
-        final = enveloped.copy()
-        final.properties = {
-            k: v
-            for k, v in enveloped.properties.items()
-            if k not in (PROP_ROUTE_TARGET_MANAGER, PROP_ROUTE_TARGET_QUEUE)
-        }
+            return
         if not target_manager.has_queue(queue_name):
             if self.auto_create_queues:
                 target_manager.define_queue(queue_name)
             else:
-                target_manager.put(
-                    DEAD_LETTER_QUEUE,
-                    final.with_properties(DLQ_REASON="unknown-queue"),
-                )
-                chan.stats.dead_lettered += 1
-                if self.exactly_once:
-                    self._record_delivered(target_manager, key)
-                return
-        target_manager.put(queue_name, final)
-        if self.exactly_once:
-            self._record_delivered(target_manager, key)
-        chan.stats.delivered += 1
-
-    def _record_delivered(
-        self, target_manager: QueueManager, key: Tuple[str, str, str]
-    ) -> None:
-        """Enter a completed final delivery in the resolution ledger.
-
-        The ledger is never pruned (that needs the consumed watermark of
-        ROADMAP direction 1); its size is published on the receiving
-        manager's registry so the growth shows where an operator looks.
-        """
-        self._delivered.add(key)
+                queue_name = DEAD_LETTER_QUEUE
+                final = final.with_properties(DLQ_REASON="unknown-queue")
+        if target_manager.put_inbound(queue_name, final, inbound) is None:
+            chan.stats.duplicates_suppressed += 1
+        elif queue_name == DEAD_LETTER_QUEUE:
+            chan.stats.dead_lettered += 1
+        else:
+            chan.stats.delivered += 1
         if target_manager.metrics is not None:
+            # The dedup state the target holds beyond one int per channel.
             target_manager.metrics.set_gauge(
-                "delivered_ledger.network", len(self._delivered)
+                "delivered_ledger.network", target_manager.accepted_out_of_order()
             )
 
     def _drain_xmit(self, chan: Channel) -> None:
@@ -575,8 +567,19 @@ class MessageNetwork(Transport):
         xmit_name = XMIT_PREFIX + chan.target
         if not src_manager.has_queue(xmit_name):
             return
-        parked = [m.message_id for m in src_manager.browse(xmit_name)]
-        for message_id in parked:
+        parked = list(src_manager.browse(xmit_name))
+        if self.exactly_once:
+            # Nothing the source still holds is below the lowest parked
+            # seq: settling the target up to it closes the holes of copies
+            # that left the spool untransferred (expired, or non-persistent
+            # and lost in a crash), which would otherwise never fill.
+            seqs = [m.properties.get(PROP_ROUTE_SEQ) for m in parked]
+            floor = min(
+                (seq for seq in seqs if seq is not None),
+                default=src_manager.last_spool_seq(chan.target) + 1,
+            )
+            self.manager(chan.target).settle_inbound(chan.source, floor)
+        for message_id in [m.message_id for m in parked]:
             if self.scheduler is None:
                 self._attempt_transfer(chan, message_id)
             else:

@@ -75,6 +75,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PersistenceError
 from repro.mq.message import DeliveryMode, Message
+from repro.mq.sequence import PROP_ROUTE_SEQ, XMIT_PREFIX, SeqWatermark
 
 logger = logging.getLogger(__name__)
 
@@ -199,6 +200,9 @@ def decode_message(record: Dict[str, Any]) -> Message:
 #: A logged operation is a **row**: ``(op, queue, ...)``, positional, trailing
 #: default values dropped.  After ``("put", queue`` come the message fields in
 #: this order — what a message usually sets first, so the usual row ends early.
+#: An arrival over a channel puts its seq between the queue and the fields —
+#: ``(peer, seq)`` when the peer is not the message's ``source_manager`` — so
+#: the third element is a str for a plain put, an int or a tuple otherwise.
 _MESSAGE_FIELDS = (
     "message_id", "body", "properties", "put_time_ms", "correlation_id",
     "source_manager", "reply_to_manager", "reply_to_queue",
@@ -208,7 +212,10 @@ _MESSAGE_FIELDS = (
 _PUT_DEFAULTS = (object(),) * 6 + (None, None, None, None, 4, None, 0, "persistent")
 
 
-def put_row(queue_name: str, message: Message) -> tuple:
+def put_row(
+    queue_name: str, message: Message, channel: Optional[Tuple[str, int]] = None
+) -> tuple:
+    """The row of a put; ``channel`` is the ``(peer, seq)`` it arrived over."""
     row = (
         "put", queue_name, message.message_id, message.body, message.properties,
         message.put_time_ms, message.correlation_id, message.source_manager,
@@ -218,22 +225,49 @@ def put_row(queue_name: str, message: Message) -> tuple:
     end = len(row)
     while row[end - 1] == _PUT_DEFAULTS[end - 1]:
         end -= 1
-    return row[:end]
+    if channel is None:
+        return row[:end]
+    if channel[0] == message.source_manager:
+        channel = channel[1]
+    return ("put", queue_name, channel) + row[2:end]
 
 
 def expand_row(row: tuple, body_codec: Optional[Callable] = None) -> Dict[str, Any]:
     """The dict form of a row — what readers see and JSON lines spell out."""
-    if row[0] != "put":
+    op = row[0]
+    if op == "resolve":
+        return {"op": "resolve", "resolved": list(zip(row[1::2], row[2::2]))}
+    if op == "channel":
+        return dict(zip(("op", "peer", "sent", "accepted", "above"), row))
+    if op != "put":
         return dict(zip(("op", "queue", "message_id"), row))
-    message = dict(zip(_MESSAGE_FIELDS, row[2:]))
+    channel = row[2] if type(row[2]) is not str else None
+    message = dict(zip(_MESSAGE_FIELDS, row[2:] if channel is None else row[3:]))
     body = message["body"]
     message["body"] = body_codec(body) if body_codec else {"kind": "raw", "data": body}
-    return {"op": "put", "queue": row[1], "message": message}
+    record = {"op": "put", "queue": row[1], "message": message}
+    if channel is not None:
+        if type(channel) is int:
+            channel = (message.get("source_manager"), channel)
+        record["channel"] = list(channel)
+    return record
 
 
 def encode_message(message: Message) -> Dict[str, Any]:
     """Encode a full message as a JSON-ready dict (trailing defaults omitted)."""
     return expand_row(put_row("", message), encode_body)["message"]
+
+
+def _accept_arrival(accepted: Dict[str, SeqWatermark], channel: Any) -> None:
+    """Replay an arrival's ``(peer, seq)`` into its peer's watermark."""
+    try:
+        peer, seq = channel
+        watermark = accepted.get(peer)
+        if watermark is None:
+            watermark = accepted[peer] = SeqWatermark()
+        watermark.accept(seq)
+    except (TypeError, ValueError) as exc:
+        raise PersistenceError(f"journal arrival names no channel seq: {channel!r}") from exc
 
 
 def _check_sync_policy(sync: str) -> str:
@@ -577,7 +611,14 @@ class Journal(ABC):
         #: default) costs one attribute check per flush.
         self.on_pre_flush: Optional[Callable[[int], None]] = None
         self.on_post_flush: Optional[Callable[[int], None]] = None
+        #: channels the last :meth:`recover` rebuilt: peer -> (last seq
+        #: stamped toward it, the watermark of seqs accepted from it)
+        self.recovered_channels: Dict[str, Tuple[int, SeqWatermark]] = {}
         self._records_in_log = 0  # see size(); stores reset it on scan / rewrite
+        #: ``(peer, seq)`` of transferred copies the log does not yet know
+        #: are resolved: written with the next commit group (see
+        #: :meth:`log_resolved`)
+        self._resolved: List[Any] = []
         self._batch_depth = 0
         self._batch_count = 0  # records the codec holds staged for the open batch
         self._post_commit_hooks: List[Callable[[], None]] = []
@@ -652,6 +693,8 @@ class Journal(ABC):
         try:
             if self._batch_count:
                 count, self._batch_count = self._batch_count, 0
+                if self._resolved:
+                    count += self._stage_resolved()
                 self._write_group(self.codec.take(), count)
             elif body_raised:
                 # Nothing was staged and the block aborted: the hooks
@@ -695,7 +738,14 @@ class Journal(ABC):
         if self._batch_depth:
             self._batch_count += count
         elif count:
+            if self._resolved:
+                count += self._stage_resolved()
             self._write_group(self.codec.take(), count)
+
+    def _stage_resolved(self) -> int:
+        """Stage the resolutions waiting for a group as its ``resolve`` record."""
+        resolved, self._resolved = self._resolved, []
+        return self.codec.stage((("resolve", *resolved),))
 
     def _write_group(self, frames: List[bytes], count: int) -> None:
         """Hand ``count`` logical records, encoded as ``frames``, to the store."""
@@ -722,11 +772,18 @@ class Journal(ABC):
     # -- maintenance --------------------------------------------------------
 
     def close(self) -> None:
-        """Release any store resources (file handles, connections).
+        """Write pending resolutions and release store resources.
 
-        The base journal holds none; stores with handles override this.
+        The base journal holds no handle; stores with handles extend this.
         Harnesses may call it on any backend unconditionally.
         """
+        if self._resolved and not self._batch_depth:
+            count = self._stage_resolved()
+            self._write_group(self.codec.take(), count)
+
+    def discard_pending(self) -> None:
+        """Drop the resolutions no group has written yet: what a crash loses."""
+        self._resolved = []
 
     def needs_compaction(self) -> bool:
         """True when the live log has outgrown ``compaction_threshold``."""
@@ -738,13 +795,29 @@ class Journal(ABC):
 
     # -- logical operations -------------------------------------------------
 
-    def log_put(self, queue_name: str, message: Message) -> None:
-        """Record a committed put of a persistent message."""
-        self.append(put_row(queue_name, message))
+    def log_put(
+        self,
+        queue_name: str,
+        message: Message,
+        channel: Optional[Tuple[str, int]] = None,
+    ) -> None:
+        """Record a committed put of a persistent message (that arrived
+        over ``channel``, ``(peer, seq)``, if given)."""
+        self.append(put_row(queue_name, message, channel))
 
     def log_put_many(self, puts: Iterable[Tuple[str, Message]]) -> None:
         """Record a batch of committed puts as one commit group."""
         self.append_many(put_row(queue_name, message) for queue_name, message in puts)
+
+    def log_resolved(self, peer: str, seq: int) -> None:
+        """Record that the copy parked for ``peer`` with ``seq`` was transferred.
+
+        Nothing is written now: the resolution joins the next commit group
+        this journal writes, as one ``resolve`` record per group, and
+        :meth:`close` writes what is left.  Losing it to a crash costs a
+        re-driven copy the target's watermark drops, never a message.
+        """
+        self._resolved += (peer, seq)
 
     def log_get(self, queue_name: str, message_id: str) -> None:
         """Record a committed destructive get of a persistent message."""
@@ -758,15 +831,27 @@ class Journal(ABC):
         """Record that a queue was deleted."""
         self.append(("delete", queue_name))
 
-    def checkpoint(self, queues: Dict[str, List[Message]]) -> None:
-        """Compact the log to a single snapshot of current persistent state."""
+    def checkpoint(
+        self,
+        queues: Dict[str, List[Message]],
+        channels: Iterable[tuple] = (),
+    ) -> None:
+        """Compact the log to a single snapshot of current persistent state.
+
+        ``channels`` holds ``(peer, sent, accepted, above)`` per peer: the
+        last seq stamped toward it, and the watermark of seqs accepted
+        from it.  The snapshot supersedes pending resolutions — the
+        resolved copies are not in ``queues``.
+        """
         records: List[tuple] = [("snapshot-begin",)]
         for queue_name in sorted(queues):
             records.append(("define", queue_name))
             for message in queues[queue_name]:
                 if message.is_persistent():
                     records.append(put_row(queue_name, message))
+        records.extend(("channel", *channel) for channel in channels)
         records.append(("snapshot-end",))
+        self._resolved = []
         self.rewrite(records)
         self.rewrites += 1
         if self.metrics is not None:
@@ -776,7 +861,12 @@ class Journal(ABC):
         """Fold the log into (defined queue names, live messages per queue).
 
         Replay semantics: ``put`` adds a message, ``get`` removes it,
-        ``define``/``delete`` maintain the queue set.  The fold runs on
+        ``define``/``delete`` maintain the queue set, ``resolve`` removes
+        transferred copies from transmission queues by ``(peer, seq)``.
+        The channels come back in :attr:`recovered_channels`: an arrival's
+        seq joins its peer's watermark for good — consuming the message
+        does not undo it — and the last seq stamped toward a peer is the
+        highest any parked copy, resolution or snapshot names.  The fold runs on
         the *undecoded* records — every record is checked structurally
         (known op, a queue name, a message id), but only the puts no
         later ``get``/``delete`` removed go through
@@ -793,10 +883,29 @@ class Journal(ABC):
         # queue -> message id -> undecoded message record.  Both levels
         # are insertion-ordered: definition order and put order.
         live: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        sent: Dict[str, int] = {}
+        accepted: Dict[str, SeqWatermark] = {}
+        parked: Dict[Tuple[str, int], str] = {}  # (peer, seq) -> message id
         records = self.read_all()
         for record in records:
             op = record.get("op")
             if op in ("snapshot-begin", "snapshot-end"):
+                continue
+            if op in ("resolve", "channel"):
+                try:
+                    if op == "resolve":
+                        for peer, seq in record["resolved"]:
+                            sent[peer] = max(sent.get(peer, 0), seq)
+                            message_id = parked.pop((peer, seq), None)
+                            live.get(XMIT_PREFIX + peer, {}).pop(message_id, None)
+                    else:
+                        peer = record["peer"]
+                        sent[peer] = max(sent.get(peer, 0), record["sent"])
+                        accepted[peer] = SeqWatermark(
+                            record["accepted"], record["above"]
+                        )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise PersistenceError(f"malformed journal {op!r} record") from exc
                 continue
             if op not in ("define", "delete", "put", "get"):
                 raise PersistenceError(f"unknown journal op {op!r}")
@@ -818,6 +927,15 @@ class Journal(ABC):
                     )
                 if op == "put":
                     live.setdefault(queue_name, {})[message_id] = encoded
+                    channel = record.get("channel")
+                    if channel is not None:
+                        _accept_arrival(accepted, channel)
+                    if queue_name.startswith(XMIT_PREFIX):
+                        seq = (encoded.get("properties") or {}).get(PROP_ROUTE_SEQ)
+                        if seq is not None:
+                            peer = queue_name[len(XMIT_PREFIX):]
+                            sent[peer] = max(sent.get(peer, 0), seq)
+                            parked[peer, seq] = message_id
                 else:
                     live.get(queue_name, {}).pop(message_id, None)
         messages = {
@@ -826,6 +944,10 @@ class Journal(ABC):
         }
         self.recover_records = len(records)
         self.recover_live = sum(len(restored) for restored in messages.values())
+        self.recovered_channels = {
+            peer: (sent.get(peer, 0), accepted.get(peer, SeqWatermark()))
+            for peer in sent.keys() | accepted.keys()
+        }
         return list(live), messages
 
 
@@ -977,9 +1099,10 @@ class FileJournal(Journal):
             raise PersistenceError(f"journal sync failed: {exc}") from exc
 
     def close(self) -> None:
-        """Flush, force out, and release the append handle."""
+        """Write pending resolutions, flush, force out, release the handle."""
         if self._fh.closed:
             return
+        super().close()
         self._fh.flush()
         if self.sync_policy != "none":
             os.fsync(self._fh.fileno())

@@ -61,6 +61,7 @@ from repro.mq.persistence import (
 )
 from repro.mq.queue import DEFAULT_MAX_DEPTH, QueueStats
 from repro.mq.selectors import Selector
+from repro.mq.sequence import PROP_ROUTE_SEQ, SeqWatermark
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, STAGE_EXPIRED, Tracer, cmid_of
 from repro.sim.clock import Clock
@@ -148,6 +149,19 @@ _SCHEMA = (
             DELETE FROM message_props WHERE seq = OLD.seq;
         END
     """,
+    # Per (manager, peer): the last seq stamped on a copy parked for the
+    # peer, and the watermark of seqs accepted from it — its cumulative
+    # seq and, as a JSON list, the ones above (repro.mq.sequence).
+    """
+    CREATE TABLE IF NOT EXISTS channels (
+        owner    TEXT NOT NULL,
+        peer     TEXT NOT NULL,
+        sent     INTEGER NOT NULL,
+        accepted INTEGER NOT NULL,
+        above    TEXT,
+        PRIMARY KEY (owner, peer)
+    ) WITHOUT ROWID
+    """,
 )
 
 
@@ -198,8 +212,8 @@ def _index_rows(
     """
     rows: List[Tuple[str, str, str, Any, int]] = []
     for key, value in properties.items():
-        if not isinstance(key, str):
-            continue
+        if not isinstance(key, str) or key == PROP_ROUTE_SEQ:
+            continue  # the channel seq is not a selector property
         if isinstance(value, bool):
             rows.append((queue, key, "b", 1 if value else 0, seq))
         elif isinstance(value, int):
@@ -314,6 +328,12 @@ class SqlQueueStore:
         self.counts: Dict[str, SimpleNamespace] = {}
         self._tx_depth = 0
         self._tx_ops = 0
+        #: writes made under :meth:`deferred`: they commit with the next
+        #: transaction that writes anything else (or :meth:`sync` / close)
+        self._deferred_ops = 0
+        self._deferring = 0
+        #: (owner, peer) -> channels row, written by the next commit
+        self._channel_rows: Dict[Tuple[str, str], tuple] = {}
         self._transaction = _Transaction(self)
         self._post_commit_hooks: List[Callable[[], None]] = []
         #: records_written high-water at the last ANALYZE (see
@@ -361,16 +381,34 @@ class SqlQueueStore:
         call, so a tracer wrapping :meth:`transaction` sees these groups too)."""
         return self.transaction()
 
+    def deferred(self, write: Callable[[], Any]) -> Any:
+        """Run ``write``; what it writes stays uncommitted — yet visible to
+        every query — until the next transaction that writes anything else
+        commits it, so it costs no transaction of its own."""
+        self._deferring += 1
+        try:
+            return write()
+        finally:
+            self._deferring -= 1
+
     def _finish_transaction(self) -> None:
         ops, self._tx_ops = self._tx_ops, 0
-        if self._con.in_transaction:
+        # A group that wrote nothing of its own leaves deferred writes be.
+        if self._con.in_transaction and (ops or not self._deferred_ops):
+            ops, self._deferred_ops = ops + self._deferred_ops, 0
+            if self._channel_rows:
+                self._execute(
+                    "INSERT OR REPLACE INTO channels"
+                    " (owner, peer, sent, accepted, above) VALUES (?, ?, ?, ?, ?)",
+                    list(self._channel_rows.values()),
+                    many=True,
+                )
+                self._channel_rows.clear()
             if ops and self.on_pre_flush is not None:
                 try:
                     self.on_pre_flush(ops)
                 except BaseException:
-                    self._execute("ROLLBACK")
-                    for name in self.counts:
-                        self._recount(name)
+                    self._rollback()
                     self._post_commit_hooks.clear()
                     raise
             self._execute("COMMIT")
@@ -393,6 +431,25 @@ class SqlQueueStore:
             hooks, self._post_commit_hooks = self._post_commit_hooks, []
             for hook in hooks:
                 hook()
+
+    def _rollback(self) -> None:
+        """Undo the open transaction and recount what it had changed."""
+        self._execute("ROLLBACK")
+        self._deferred_ops = 0
+        self._channel_rows.clear()
+        for name in self.counts:
+            self._recount(name)
+
+    def flush_pending(self) -> None:
+        """Commit deferred writes now (outside any transaction)."""
+        if self._deferred_ops and not self._tx_depth:
+            self._tx_ops, self._deferred_ops = self._deferred_ops, 0
+            self._finish_transaction()
+
+    def discard_pending(self) -> None:
+        """Roll deferred writes back: what a crash of the process loses."""
+        if self._deferred_ops and not self._tx_depth:
+            self._rollback()
 
     def _maybe_analyze(self) -> None:
         """Refresh planner statistics on an amortized doubling schedule.
@@ -438,7 +495,11 @@ class SqlQueueStore:
         if not self._con.in_transaction:
             self._execute("BEGIN IMMEDIATE")
         cursor = self._execute(sql, params)
-        self._tx_ops += cursor.rowcount if cursor.rowcount > 0 else 0
+        if cursor.rowcount > 0:
+            if self._deferring:
+                self._deferred_ops += cursor.rowcount
+            else:
+                self._tx_ops += cursor.rowcount
         return cursor
 
     def _recount(self, name: str) -> None:
@@ -450,6 +511,28 @@ class SqlQueueStore:
 
     def _refresh_watermark(self, name: str) -> None:
         self.counts[name].watermark = self._execute(_WATERMARK, (name,)).fetchone()[0]
+
+    # -- channels ---------------------------------------------------------------
+
+    def note_channel(
+        self, owner: str, peer: str, sent: int, accepted: SeqWatermark
+    ) -> None:
+        """Stage ``owner``'s channel row for ``peer``; the next commit writes it."""
+        cumulative, above = accepted.state()
+        self._channel_rows[owner, peer] = (
+            owner, peer, sent, cumulative, json.dumps(above) if above else None,
+        )  # fmt: skip
+
+    def channels(self, owner: str) -> Dict[str, Tuple[int, SeqWatermark]]:
+        """``owner``'s channels: peer -> (last seq sent, accepted watermark)."""
+        rows = self._execute(
+            "SELECT peer, sent, accepted, above FROM channels WHERE owner = ?",
+            (owner,),
+        ).fetchall()
+        return {
+            peer: (sent, SeqWatermark(accepted, json.loads(above) if above else ()))
+            for peer, sent, accepted, above in rows
+        }
 
     # -- queue registry -------------------------------------------------------
 
@@ -552,13 +635,16 @@ class SqlQueueStore:
         return False
 
     def sync(self) -> None:
-        """Checkpoint the WAL into the main database file."""
+        """Commit deferred writes and checkpoint the WAL into the database."""
+        self.flush_pending()
         self._execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:
-        """Release the file (an open transaction is rolled back)."""
+        """Commit deferred writes and release the file (an open
+        transaction is rolled back)."""
         con = getattr(self, "_con", None)
         if con is not None:
+            self.flush_pending()
             try:
                 con.close()
             except sqlite3.Error:  # pragma: no cover - defensive

@@ -74,6 +74,22 @@ class TestGating:
         assert main(["--gate", f"{base}:{no_counts}"]) == 1  # a count went missing
         assert main(["--gate", f"{no_counts}:{base}"]) == 0  # an older baseline
 
+    def test_restart_counts_are_gated_at_zero_tolerance_upward(self, tmp_path):
+        def restart(live, decoded=None, scanned=1_000):
+            shape = {
+                "messages_live": live,
+                "messages_decoded": live if decoded is None else decoded,
+                "records_scanned": scanned,
+                "seconds": 9.9,  # wall clock: never gated
+            }
+            return {"fanout": 8, "all_live": dict(shape), "consumed": shape}
+
+        base = write(tmp_path / "b.json", restart(500))
+        assert main(["--gate", f"{base}:{write(tmp_path / 's.json', restart(500))}"]) == 0
+        for grown in (restart(501), restart(500, decoded=501), restart(500, scanned=1_001)):
+            assert main(["--gate", f"{base}:{write(tmp_path / 'g.json', grown)}:0.9"]) == 1
+        assert main(["--gate", f"{base}:{write(tmp_path / 'f.json', restart(250))}"]) == 0
+
     def test_missing_metric_in_current_fails(self, tmp_path):
         base = write(tmp_path / "b.json", {"speedup_10k": 10.0, "backends": []})
         curr = write(tmp_path / "c.json", {"backends": []})

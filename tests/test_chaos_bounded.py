@@ -189,12 +189,16 @@ class TestBoundedExploration:
         # (canonical + generated sweeps found zero violations).  A
         # changed count means the protocol's reachable state space
         # changed: deliberate (re-pin after review) or a regression in
-        # determinism, hashing, or the scheduler.
+        # determinism, hashing, or the scheduler.  Re-pinned from 155
+        # states / 165 schedules when spool resolution became a logged
+        # event: a crash now brings back only the copies whose resolution
+        # no group had written yet, so far fewer re-drives branch after it
+        # (crash budget 0 still closes at 1 state, as before).
         result = BoundedExplorer(canonical_ruleset(), crash_budget=1).run()
         assert result.ok
         assert result.complete
-        assert result.states == 155
-        assert result.schedules == 165
+        assert result.states == 78
+        assert result.schedules == 107
 
 
 class TestMutationCanary:

@@ -80,7 +80,9 @@ class TestExactlyOnceCanary:
 
     With ``exactly_once`` off, an injected duplicate transfer (or a
     crash-window redrive) delivers the same conditional message twice;
-    the ack-correlation and compensation invariants must notice.
+    the ack-correlation and compensation invariants must notice.  The
+    crash comes before its flush: the spool resolutions waiting for that
+    group die with it, so the restart re-drives copies already delivered.
     """
 
     @pytest.mark.parametrize("seed", [2, 3])
@@ -95,7 +97,7 @@ class TestExactlyOnceCanary:
                     at_ms=120,
                 ),
                 FaultEvent(
-                    kind="crash", manager="QM.SENDER", at_flush=4, phase="post"
+                    kind="crash", manager="QM.SENDER", at_flush=4, phase="pre"
                 ),
             ],
         )
@@ -121,7 +123,7 @@ class TestExactlyOnceCanary:
                     at_ms=120,
                 ),
                 FaultEvent(
-                    kind="crash", manager="QM.SENDER", at_flush=4, phase="post"
+                    kind="crash", manager="QM.SENDER", at_flush=4, phase="pre"
                 ),
             ],
         )

@@ -1,4 +1,4 @@
-"""Property-based tests for the extension modules (expectations, triggering)."""
+"""Property-based tests for the extension modules (expectations)."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from repro.core.expectations import ExpectationOutcome, ExpectationService
 from repro.mq.manager import QueueManager
 from repro.mq.message import Message
-from repro.mq.triggering import TriggerMonitor, TriggerType
 from repro.sim.clock import SimulatedClock
 from repro.sim.scheduler import EventScheduler
 
@@ -37,47 +36,3 @@ def test_expectation_decision_matches_oracle(arrival_times, min_count, deadline)
     else:
         assert expectation.outcome is ExpectationOutcome.FAILED
         assert expectation.decided_at_ms == deadline
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=30))
-def test_every_trigger_fires_once_per_put(puts_then_gets):
-    """EVERY triggers fire exactly once per arriving message, regardless
-    of interleaved consumption."""
-    clock = SimulatedClock()
-    manager = QueueManager("QM.R", clock)
-    monitor = TriggerMonitor(manager)
-    fired = []
-    monitor.define_trigger("Q", TriggerType.EVERY, fired.append)
-    puts = 0
-    for do_get in puts_then_gets:
-        manager.put("Q", Message(body=None))
-        puts += 1
-        if do_get:
-            manager.get_wait("Q")
-    assert len(fired) == puts
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=8),   # depth threshold
-    st.integers(min_value=0, max_value=40),  # messages
-)
-def test_depth_trigger_with_greedy_drainer_leaves_less_than_threshold(
-    threshold, messages
-):
-    """A drain-and-rearm consumer driven purely by DEPTH triggers always
-    ends with fewer than `threshold` messages waiting."""
-    clock = SimulatedClock()
-    manager = QueueManager("QM.R", clock)
-    monitor = TriggerMonitor(manager)
-
-    def drain(event):
-        while manager.get_wait(event.queue) is not None:
-            pass
-        monitor.rearm(event.queue)
-
-    monitor.define_trigger("Q", TriggerType.DEPTH, drain, depth=threshold)
-    for _ in range(messages):
-        manager.put("Q", Message(body=None))
-    assert manager.depth("Q") < threshold

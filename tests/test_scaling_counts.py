@@ -190,10 +190,12 @@ def journal_totals(bed):
 def test_a_fanout_send_writes_each_payload_once_on_a_binary_journal():
     """The send group — 8 spooled copies, 8 staged compensations and the
     sender-log entry, all carrying the same two application objects — is
-    one frame holding each object once; the logical records of a whole
-    conditional message are what they always were, it flushes once per
-    durable event (1 send, 8 arrivals, 8 reads, 8 ack arrivals with their
-    evaluation, 1 outcome get), and its bytes stay under a pinned bound."""
+    one frame holding each object once; a whole conditional message
+    flushes once per durable event (1 send, 8 arrivals, 8 reads, 8 ack
+    arrivals with their evaluation, 1 outcome get), its spool resolutions
+    add one ``resolve`` record to groups written anyway (the sender's 8 to
+    its first ack arrival, each receiver's to its next group), and its
+    bytes stay under a pinned bound."""
     bed = Testbed(
         FANOUT8,
         latency_ms=1,
@@ -225,8 +227,8 @@ def test_a_fanout_send_writes_each_payload_once_on_a_binary_journal():
     assert send_group.count(b"BODY-MARKER") == 1  # 8 before the shared memo
     assert send_group.count(b"COMP-MARKER") == 1  # 8 before the shared memo
     after = journal_totals(bed)
-    assert (after[0] - records, after[1] - flushes) == (76, 26)
-    # 2 KB of user payload; 22.5 KB measured (54.5 KB before): the send
+    assert (after[0] - records, after[1] - flushes) == (76 + 9, 26)
+    # 2 KB of user payload; 22.7 KB measured (54.5 KB before): the send
     # group plus one copy in each of the eight receivers' own journals.
     assert after[2] - nbytes <= 25_500
 
@@ -368,8 +370,10 @@ def test_a_sql_store_writes_messages_not_bookkeeping(tmp_path):
     for store in bed.journals.values():
         store._con.set_trace_callback(None)
     # One transaction per durable event: the 26 commit groups of the binary
-    # journal, plus the 16 spool resolutions the store also commits.
-    assert flushes == 3 * 42
+    # journal.  The 16 spool resolutions join the next transaction their
+    # store writes anyway, and the channel seqs ride the transactions of
+    # the parks and arrivals they number.
+    assert flushes == 3 * 26
     assert [s for s in statements if re.search(r"\bqueues\b", s)] == []
     assert [s for s in statements if "MIN(expiry_ms)" in s] == []
     assert len([s for s in statements if s.startswith("BEGIN")]) == flushes
