@@ -3,13 +3,12 @@
 Runs a deterministic corpus of chaos episodes — crash/recover at journal
 flush boundaries, partitions, torn journal tails, duplicated and delayed
 transfers — and asserts the paper-invariant suite finds zero violations.
-Memory-journal episodes exercise the crash model cheaply; file-journal
-episodes add torn-tail recovery on real files; sqlstore episodes put
-the SQL queue store's crash/recover path (rollback of a group that died
-before COMMIT, lock release on restart) under the same faults;
-binfile-journal episodes run the binary record codec through the same
-crash, recovery, and torn-tail space (tears cut a binary frame
-mid-payload, and post-recovery writes keep the codec);
+Memory-journal episodes exercise the crash model cheaply; two families
+of file-journal episodes (seeds from 100 and from 300) add torn-tail
+recovery on real files (tears cut a frame mid-payload); sqlstore
+episodes put the SQL queue store's crash/recover path (rollback of a
+group that died before COMMIT, lock release on restart) under the same
+faults;
 tcp-transport episodes drive real wire-protocol engine pairs through
 seeded connection drops (landing mid-frame), reconnect resync,
 retransmission and deferred confirmations.
@@ -62,7 +61,7 @@ def test_chaos_smoke_corpus(report, tmp_path):
         run_chaos_corpus(
             episodes=FILE_EPISODES,
             base_seed=FILE_BASE_SEED,
-            journal="file",
+            journal="binfile",
             journal_dir=str(tmp_path),
             repro_dir=REPO_ROOT,
         ),

@@ -1,7 +1,7 @@
 """PERSISTENCE — what one conditional send costs each durable store.
 
-For every scheme of the store table (memory / file / binfile — the
-binary-codec file log — and sqlstore, the SQL-backed live queue store)
+For every scheme of the store table (memory and binfile — the log in
+memory and on disk — and sqlstore, the SQL-backed live queue store)
 this runs the same group-committed conditional sends at fan-out
 ``FAN_OUT`` and reports **counts**: flushes, and the exact records and
 bytes one send of a fixed body adds to the sender's store (the SQL store
@@ -31,7 +31,7 @@ N_SENDS = 10 if SHORT else 50
 RESULT_PATH = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_persistence.json")
 )
-BACKENDS = ("memory", "file", "binfile", "sqlstore")
+BACKENDS = ("memory", "binfile", "sqlstore")
 RECEIVERS = [f"R{i}" for i in range(FAN_OUT)]
 
 

@@ -99,7 +99,7 @@ def main(argv: List[str] | None = None) -> int:
         "--journal",
         choices=sorted(JOURNAL_SCHEMES),
         default="memory",
-        help="journal backend (file and binfile enable torn-tail faults;"
+        help="journal backend (binfile enables torn-tail faults;"
         " sqlstore exercises engine-transaction commit groups)",
     )
     parser.add_argument(

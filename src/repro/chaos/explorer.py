@@ -132,8 +132,8 @@ class EpisodeSpec:
         horizon = messages * gap + window
         kinds = ["crash", "crash", "partition", "duplicate", "delay"]
         if journal_scheme(journal)[0] is FileJournal:
-            # Only the file journals (JSON-lines and binary alike) model
-            # torn writes; the SQL store's engine transactions cannot tear.
+            # Only the file journal models torn writes; the SQL store's
+            # engine transactions cannot tear.
             kinds.append("torn_tail")
         receiver_managers = [f"QM.{n}" for n in spec.receiver_names]
         for _ in range(rng.randint(1, 4)):
@@ -558,15 +558,12 @@ class ChaosHarness:
         Only file journals model torn writes; reopening runs
         :class:`FileJournal`'s tail-healing, exactly what a real restart
         over a torn log does.  Memory journals crash cleanly; the SQL
-        store's engine transactions cannot tear.  The tear is written in
-        the journal's own codec — a chopped JSON line for the line-oriented
-        store, a frame cut short mid-payload for the binary codec — and
-        the reopened journal keeps that codec.
+        store's engine transactions cannot tear.  The tear is a frame cut
+        short mid-payload.
         """
         if not isinstance(journal, FileJournal):
             return journal
         path = journal.path
-        codec_name = journal.codec.name
         journal.discard_pending()  # the crash loses what no group wrote
         torn = journal.codec.encode_record(
             {"op": "put", "queue": "TORN.Q", "message": {"torn": True}}
@@ -574,7 +571,7 @@ class ChaosHarness:
         journal.close()
         with open(path, "ab") as handle:
             handle.write(torn)
-        fresh = FileJournal(path, sync="none", codec=codec_name)
+        fresh = FileJournal(path, sync="none")
         self.journals[manager_name] = fresh
         return fresh
 

@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.mq.message import Message
 from repro.net.framing import FrameError
 from repro.net.protocol import ChannelEngine, ProtocolError
 from repro.sim.clock import SimulatedClock
@@ -170,8 +171,8 @@ class WireChaosHarness:
         self.receiver = ChannelEngine(
             "QM.DST", "receiver", window=spec.window
         )
-        #: message_id -> encoded record; the sender's durable in-doubt spool
-        self.spool: Dict[str, Dict] = {}
+        #: message_id -> message; the sender's durable in-doubt spool
+        self.spool: Dict[str, Message] = {}
         self.inflight: set = set()
         self.sent_order: List[str] = []
         self.delivered_order: List[str] = []
@@ -249,19 +250,18 @@ class WireChaosHarness:
     # -- sender side ---------------------------------------------------------
 
     def send(self, message_id: str) -> None:
-        record = {"message_id": message_id, "body": {"chaos": True}}
-        self.spool[message_id] = record
+        self.spool[message_id] = Message(body={"chaos": True}, message_id=message_id)
         self.sent_order.append(message_id)
         self._pump()
 
     def _pump(self) -> None:
         moved = False
-        for message_id, record in list(self.spool.items()):
+        for message_id, message in list(self.spool.items()):
             if not self.sender.can_send():
                 break
             if message_id in self.inflight:
                 continue
-            self.sender.send_message("IN.Q", record, message_id, self._now())
+            self.sender.send_message("IN.Q", message, message_id, self._now())
             self.inflight.add(message_id)
             moved = True
         if moved:
@@ -282,7 +282,7 @@ class WireChaosHarness:
         for event in events:
             if event.kind != "message":
                 continue
-            message_id = event.message["message_id"]
+            message_id = event.message.message_id
             if message_id in self._delivered_ids:
                 # Redelivery after resync: suppress, but still confirm so
                 # the sender resolves its spool copy.

@@ -34,25 +34,20 @@ records per force-out):
   ``compaction_threshold`` lets the owning queue manager checkpoint
   automatically once the log grows past a bound.
 
-Records are serialized by one of two **codecs**:
-
-* ``json`` (default) — one JSON document per line, human-readable;
-* ``binary`` — one ``magic | length | CRC-32 | payload`` frame per commit
-  group, the payload encoded in one pass with one memo: each record is a
-  positional row, and an object several rows share (the body of a
-  fan-out's copies, the compensation body) is written once.
-
-Both write **data only** — dict / list / tuple / set / str / bytes /
-numbers / bool / None; anything else is refused at the put, before
-anything is written — and no reader can be made to resolve a global or
-call anything, whatever bytes the store holds (docs/SEMANTICS.md §9).
-Recovery **auto-detects** the format frame by frame (a JSON line starts
-with ``{``, a binary frame with its magic byte), so journals written under
-one codec, an earlier version of it, or a mixture replay unchanged.
+Records have **one encoding**, the one every store and the wire share:
+each logged operation is a positional row (:func:`put_row`), and a commit
+group leaves as one ``magic | length | CRC-32 | payload`` frame whose
+payload is the group's rows, encoded in one pass with one memo, so an
+object several rows share (the body of a fan-out's copies, the
+compensation body) is written once.  Rows are **data only** — dict /
+list / tuple / set / str / bytes / numbers / bool / None; anything else is
+refused at the put, before anything is written — and no reader can be
+made to resolve a global or call anything, whatever bytes the store holds
+(docs/SEMANTICS.md §9).
 
 Two log stores exist — :class:`FileJournal` (frames on disk, one append
-handle) and :class:`MemoryJournal` (the same stream in a list, for tests that
-inject crashes) — with the same ``flush_count`` / ``bytes_written`` counters,
+handle) and :class:`MemoryJournal` (the same frames in a list, for tests
+that inject crashes) — with the same ``flush_count`` / ``bytes_written`` counters,
 mirrored as ``journal.*`` metrics when the owning manager carries a registry.
 Deployments pick the store by URL: :data:`JOURNAL_SCHEMES` is the one place
 the list of stores is written (the journals above plus ``sqlstore:``, which
@@ -61,9 +56,7 @@ is not a log at all); see :func:`journal_for` and :func:`journal_factory_for`.
 
 from __future__ import annotations
 
-import base64
 import io
-import json
 import logging
 import os
 import pickle
@@ -122,65 +115,15 @@ def load_data(data: bytes) -> Any:
         raise PersistenceError(f"undecodable journal data: {exc}") from exc
 
 
-def _is_json_safe(value: Any, _inside: frozenset = frozenset()) -> bool:
-    """Cheap structural probe: would JSON carry ``value`` there and back?
-
-    Walks the value checking exact types only — no string is ever built.
-    Only what JSON returns unchanged passes: ``json.dumps`` would turn a
-    tuple into a list and an int key into a string, silently corrupting the
-    body, and raises on a cycle (``_inside``: the containers being walked).
-    """
-    kind = type(value)
-    if value is None or kind in (str, int, float, bool):
-        return True
-    if id(value) in _inside:
-        return False
-    inside = _inside | {id(value)}
-    if kind is dict:
-        if not all(type(key) is str for key in value):
-            return False
-        value = value.values()
-    elif kind is not list:
-        return False
-    return all(_is_json_safe(item, inside) for item in value)
-
-
-def encode_body(body: Any) -> Dict[str, Any]:
-    """Encode a message body for a JSON document.
-
-    JSON-representable bodies are stored natively (readable journals);
-    other data (tuples, sets, bytes, non-string keys) as a base64-wrapped
-    data-only pickle; anything that is not data — a class instance, a
-    function — is a :class:`PersistenceError`.  The JSON check is a
-    structural type probe, so the body is serialized exactly once.
-    """
-    if _is_json_safe(body):
-        return {"kind": "json", "data": body}
-    try:
-        blob = dump_data(body)
-    except Exception as exc:  # noqa: BLE001 - report what body failed
-        raise PersistenceError(
-            f"message body of type {type(body).__name__} is not journalable"
-        ) from exc
-    return {"kind": "pickle", "data": base64.b64encode(blob).decode("ascii")}
-
-
-def decode_body(record: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_body` (``raw`` is a body a binary frame
-    carried as it was)."""
-    kind = record.get("kind")
-    if kind in ("json", "raw"):
-        return record["data"]
-    if kind == "pickle":
-        return load_data(base64.b64decode(record["data"]))
-    raise PersistenceError(f"unknown body encoding {kind!r}")
-
-
 def decode_message(record: Dict[str, Any]) -> Message:
-    """Inverse of :func:`encode_message`; absent fields take their defaults."""
+    """The message of a put record's dict form (see :func:`expand_row`);
+    absent fields take their defaults."""
+    body = record.get("body")
+    if type(body) is not dict or body.get("kind") != "raw" or "data" not in body:
+        raise PersistenceError("journal message record holds no body")
     try:
         return Message(
-            body=decode_body(record["body"]),
+            body=body["data"],
             message_id=record["message_id"],
             correlation_id=record.get("correlation_id"),
             properties=dict(record.get("properties", {})),
@@ -232,8 +175,9 @@ def put_row(
     return ("put", queue_name, channel) + row[2:end]
 
 
-def expand_row(row: tuple, body_codec: Optional[Callable] = None) -> Dict[str, Any]:
-    """The dict form of a row — what readers see and JSON lines spell out."""
+def expand_row(row: tuple) -> Dict[str, Any]:
+    """The dict form of a row — what readers see.  A put's body is wrapped as
+    ``{"kind": "raw", "data": body}``, as frames of earlier versions hold it."""
     op = row[0]
     if op == "resolve":
         return {"op": "resolve", "resolved": list(zip(row[1::2], row[2::2]))}
@@ -243,19 +187,13 @@ def expand_row(row: tuple, body_codec: Optional[Callable] = None) -> Dict[str, A
         return dict(zip(("op", "queue", "message_id"), row))
     channel = row[2] if type(row[2]) is not str else None
     message = dict(zip(_MESSAGE_FIELDS, row[2:] if channel is None else row[3:]))
-    body = message["body"]
-    message["body"] = body_codec(body) if body_codec else {"kind": "raw", "data": body}
+    message["body"] = {"kind": "raw", "data": message["body"]}
     record = {"op": "put", "queue": row[1], "message": message}
     if channel is not None:
         if type(channel) is int:
             channel = (message.get("source_manager"), channel)
         record["channel"] = list(channel)
     return record
-
-
-def encode_message(message: Message) -> Dict[str, Any]:
-    """Encode a full message as a JSON-ready dict (trailing defaults omitted)."""
-    return expand_row(put_row("", message), encode_body)["message"]
 
 
 def _accept_arrival(accepted: Dict[str, SeqWatermark], channel: Any) -> None:
@@ -279,14 +217,12 @@ def _check_sync_policy(sync: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Record codecs: JSON lines and length-prefixed binary frames
+# The record codec: length-prefixed frames of data-only rows
 # ---------------------------------------------------------------------------
 
-#: First byte of a binary frame, outside printable ASCII so no frame can be
-#: mistaken for a JSON line (which begins with ``{``): the decoder dispatches
-#: per frame on this byte, which lets JSON and binary content coexist in one
-#: journal.  A *run* frame's payload is records pickled one after another
-#: through one memo; a *group* frame's payload is run frames, concatenated.
+#: First byte of a frame.  A *run* frame's payload is records pickled one
+#: after another through one memo; a *group* frame's payload is run frames,
+#: concatenated.
 _MAGIC_RUN = 0xB1
 _MAGIC_GROUP = 0xB2
 
@@ -296,44 +232,6 @@ _BIN_HEADER = struct.Struct("<BII")
 
 def _bin_frame(magic: int, payload: bytes) -> bytes:
     return _BIN_HEADER.pack(magic, len(payload), zlib.crc32(payload)) + payload
-
-
-class JsonLinesCodec:
-    """One JSON document per newline-terminated line (human-readable).
-
-    A codec object holds the commit group its journal is staging:
-    :meth:`stage` encodes records onto it (all of the call's records or, if
-    one is refused, none), :meth:`take` hands the group over as frames,
-    :meth:`wrap_group` makes several frames one physical frame, and
-    :meth:`encode_record` is a finished frame of its own.
-    """
-
-    name = "json"
-
-    def __init__(self) -> None:
-        self._frames: List[bytes] = []
-
-    def encode_record(self, record: Any) -> bytes:
-        if type(record) is tuple:
-            record = expand_row(record, encode_body)
-        return json.dumps(record).encode("utf-8") + b"\n"
-
-    def stage(self, records: Iterable[Any]) -> int:
-        try:
-            lines = [self.encode_record(record) for record in records]
-        except (TypeError, ValueError) as exc:  # not data, or a cycle
-            raise PersistenceError(f"journal record refused: {exc}") from exc
-        self._frames += lines
-        return len(lines)
-
-    def take(self) -> List[bytes]:
-        frames, self._frames = self._frames, []
-        return frames
-
-    def wrap_group(self, frames: List[bytes]) -> bytes:
-        # Members are serialized already; wrap without re-serializing.
-        inner = b", ".join(frame[:-1] for frame in frames)
-        return b'{"op": "group", "records": [' + inner + b"]}\n"
 
 
 class BinaryRecordCodec:
@@ -346,9 +244,13 @@ class BinaryRecordCodec:
     as one frame under one CRC, which turns a torn or bit-rotted frame into
     a detected error: the frame is dropped or replayed whole.  What is not
     plain data is refused in :meth:`stage`, before anything is written.
-    """
 
-    name = "binary"
+    A codec object holds the commit group its journal is staging:
+    :meth:`stage` encodes records onto it (all of the call's records or, if
+    one is refused, none), :meth:`take` hands the group over as frames,
+    :meth:`wrap_group` makes several frames one physical frame, and
+    :meth:`encode_record` is a finished frame of its own.
+    """
 
     def __init__(self) -> None:
         self._frames: List[bytes] = []
@@ -395,11 +297,6 @@ class BinaryRecordCodec:
         return _bin_frame(_MAGIC_GROUP, b"".join(frames))
 
 
-#: codec name -> codec class; each journal owns one instance.  Decoding is
-#: codec-independent: the scanner recognizes both formats by their first byte.
-_CODECS: Dict[str, Any] = {"json": JsonLinesCodec, "binary": BinaryRecordCodec}
-
-
 def _load_run(payload: bytes) -> List[Dict[str, Any]]:
     """Decode the records of one run payload, rows expanded to dicts."""
     records: List[Dict[str, Any]] = []
@@ -425,11 +322,7 @@ def _scan_journal(
     strict: bool = True,
     in_group: bool = False,
 ) -> Tuple[List[Dict[str, Any]], int, int]:
-    """Decode a journal byte stream, auto-detecting the frame format.
-
-    Each frame is dispatched on its first byte: the binary magic bytes
-    select a length-prefixed frame, anything else a newline-terminated
-    JSON line — so JSON and binary content can coexist in one journal.
+    """Decode a journal byte stream, frame by frame.
 
     Returns ``(records, valid_end, torn)``:
 
@@ -437,12 +330,13 @@ def _scan_journal(
       group's members count individually);
     * ``valid_end`` — byte offset just past the last intact frame, the
       truncation point for healing;
-    * ``torn`` — 1 when the stream ends in a torn frame: an unterminated
-      JSON line, an incomplete binary frame, a CRC-mismatched frame that
-      runs to end-of-stream, or a complete-but-unparseable final JSON
-      line.  Torn content is excluded from the returns.
+    * ``torn`` — 1 when the stream ends in a torn frame: an incomplete
+      frame, or a CRC-mismatched frame that runs to end-of-stream.  Torn
+      content is excluded from the returns.
 
-    Corruption *before* intact content is not a crash artefact: with
+    A torn write leaves a prefix of a frame, which starts with a magic
+    byte; any other byte where a frame should start is corruption, as is
+    any damage *before* intact content — neither is a crash artefact: with
     ``strict`` it raises :class:`PersistenceError`; without (the
     tolerant open-time scan) the scan simply stops there, ``valid_end``
     short of the stream's end.  ``in_group`` scans the payload of a group
@@ -453,75 +347,44 @@ def _scan_journal(
     valid_end = 0
     end = len(data)
 
-    def corrupt(what: str, at: int, exc: Optional[Exception] = None) -> tuple:
+    def corrupt(at: int, exc: Optional[Exception] = None) -> tuple:
         if strict:
-            raise PersistenceError(f"corrupt {what} at byte {at} in {source}") from exc
+            where = f"at byte {at} in {source}"
+            raise PersistenceError(f"corrupt journal frame {where}") from exc
         return records, valid_end, 0
 
     while offset < end:
         first = data[offset]
-        if in_group and first != _MAGIC_RUN:
-            raise PersistenceError("malformed journal group frame")
-        if first in (_MAGIC_RUN, _MAGIC_GROUP):
-            header_end = offset + _BIN_HEADER.size
-            if header_end > end:
+        if first != _MAGIC_RUN and (in_group or first != _MAGIC_GROUP):
+            return corrupt(offset)
+        header_end = offset + _BIN_HEADER.size
+        if header_end > end:
+            return records, valid_end, 1
+        magic, length, crc = _BIN_HEADER.unpack_from(data, offset)
+        frame_end = header_end + length
+        if frame_end > end:
+            return records, valid_end, 1
+        payload = data[header_end:frame_end]
+        if zlib.crc32(payload) != crc:
+            if frame_end == end:
+                # A torn OS write can complete the header but garble the
+                # payload; at end-of-stream that is crash semantics, not
+                # bit rot.
                 return records, valid_end, 1
-            magic, length, crc = _BIN_HEADER.unpack_from(data, offset)
-            frame_end = header_end + length
-            if frame_end > end:
-                return records, valid_end, 1
-            payload = data[header_end:frame_end]
-            if zlib.crc32(payload) != crc:
-                if frame_end == end:
-                    # A torn OS write can complete the header but garble
-                    # the payload; at end-of-stream that is crash
-                    # semantics, not bit rot.
-                    return records, valid_end, 1
-                return corrupt("journal frame", offset)
-            try:
-                if magic == _MAGIC_GROUP:
-                    # Its own CRC matched, so a member that does not scan
-                    # to the last byte is real corruption.
-                    members, scanned, _torn = _scan_journal(payload, source, True, True)
-                    if scanned != length:
-                        raise PersistenceError("malformed journal group frame")
-                    records.extend(members)
-                else:
-                    records.extend(_load_run(payload))
-            except PersistenceError as exc:
-                return corrupt("journal frame", offset, exc)
-            valid_end = frame_end
-            offset = frame_end
-        else:
-            newline = data.find(b"\n", offset)
-            if newline == -1:
-                return records, valid_end, 1
-            line = data[offset:newline].strip()
-            line_start = offset
-            offset = newline + 1
-            if not line:
-                valid_end = offset
-                continue
-            try:
-                # A ``group`` record is the one-line envelope of a commit
-                # group; readers see its members, never the envelope.
-                members = [json.loads(line)]
-                if isinstance(members[0], dict) and members[0].get("op") == "group":
-                    members = members[0].get("records")
-                if not isinstance(members, list) or not all(
-                    isinstance(member, dict) for member in members
-                ):
-                    raise ValueError("not a journal record")
-            except (ValueError, RecursionError) as exc:
-                # Not UTF-8, not JSON, JSON nested past the parser's
-                # stack, or JSON that is not a record.
-                if not data[offset:].strip():
-                    # A corrupt final line is the signature of a crash
-                    # mid-append; everything before it is intact.
-                    return records, valid_end, 1
-                return corrupt("journal record", line_start, exc)
-            records.extend(members)
-            valid_end = offset
+            return corrupt(offset)
+        try:
+            if magic == _MAGIC_GROUP:
+                # Its own CRC matched, so a member that does not scan to
+                # the last byte is real corruption.
+                members, scanned, _torn = _scan_journal(payload, source, True, True)
+                if scanned != length:
+                    raise PersistenceError("malformed journal group frame")
+                records.extend(members)
+            else:
+                records.extend(_load_run(payload))
+        except PersistenceError as exc:
+            return corrupt(offset, exc)
+        valid_end = offset = frame_end
     return records, valid_end, 0
 
 
@@ -562,25 +425,14 @@ class Journal(ABC):
             once the live log holds at least this many records; the owning
             queue manager then checkpoints automatically, amortizing the
             rewrite cost over many appends.
-        codec: Record serialization format, ``"json"`` or ``"binary"``.
-            Reading is always format-auto-detecting, so the codec only
-            governs new appends; an existing journal written under another
-            codec replays unchanged.
     """
 
     def __init__(
-        self,
-        sync: str = "always",
-        compaction_threshold: Optional[int] = None,
-        codec: str = "json",
+        self, sync: str = "always", compaction_threshold: Optional[int] = None
     ) -> None:
         self.sync_policy = _check_sync_policy(sync)
         self.compaction_threshold = compaction_threshold
-        if codec not in _CODECS:
-            raise PersistenceError(
-                f"unknown journal codec {codec!r}; expected one of {sorted(_CODECS)}"
-            )
-        self.codec = _CODECS[codec]()
+        self.codec = BinaryRecordCodec()
         #: records durably handed to the store over this object's lifetime
         self.records_written = 0
         #: commit groups written (each is one write+flush; the unit whose
@@ -962,14 +814,9 @@ class MemoryJournal(Journal):
     """
 
     def __init__(
-        self,
-        sync: str = "always",
-        compaction_threshold: Optional[int] = None,
-        codec: str = "json",
+        self, sync: str = "always", compaction_threshold: Optional[int] = None
     ) -> None:
-        super().__init__(
-            sync=sync, compaction_threshold=compaction_threshold, codec=codec
-        )
+        super().__init__(sync=sync, compaction_threshold=compaction_threshold)
         self._frames: List[bytes] = []
 
     def _write_serialized(self, frames: List[bytes]) -> int:
@@ -995,9 +842,7 @@ class MemoryJournal(Journal):
 class FileJournal(Journal):
     """Framed journal on disk with atomic checkpoint rewrite.
 
-    Frames are JSON lines (the default codec) or binary length-prefixed
-    records (``codec="binary"``); reads auto-detect per frame, so a file
-    may mix both.  The append handle stays open for the journal's
+    The append handle stays open for the journal's
     lifetime (no per-append open/close); :meth:`rewrite` swaps the file
     atomically and reopens it.  Opening an existing log reads, CRC-checks
     and decodes it **once**: that pass **heals** a torn final frame (the
@@ -1019,11 +864,8 @@ class FileJournal(Journal):
         path: str,
         sync: str = "always",
         compaction_threshold: Optional[int] = None,
-        codec: str = "json",
     ) -> None:
-        super().__init__(
-            sync=sync, compaction_threshold=compaction_threshold, codec=codec
-        )
+        super().__init__(sync=sync, compaction_threshold=compaction_threshold)
         self.path = path
         self._healed_trailing_records = 0
         #: records the open scan decoded, kept for the first
@@ -1051,8 +893,7 @@ class FileJournal(Journal):
     def _scan_file(self, strict: bool) -> List[Dict[str, Any]]:
         """Read, CRC-check and decode the file in one pass, healing its tail.
 
-        A torn final frame — including a complete but unparseable final
-        JSON line — is truncated away by the pass that found it, logged,
+        A torn final frame is truncated away by the pass that found it, logged,
         and counted in :attr:`skipped_trailing_records` until the next
         :meth:`rewrite`.  Records how far the intact content ran
         (``_scanned_bytes``) and how many records it held.
@@ -1148,20 +989,21 @@ class FileJournal(Journal):
 # ---------------------------------------------------------------------------
 
 
-def _open_sql_store(path: str, sync: str = "always") -> Any:
+def _open_sql_store(
+    path: str, sync: str = "always", compaction_threshold: Optional[int] = None
+) -> Any:
+    """``sqlstore:`` is not a log, so it has nothing to compact."""
     from repro.mq.sqlstore import SqlQueueStore  # it imports this module
 
     return SqlQueueStore(path, sync=sync)
 
 
-#: URL scheme -> (constructor taking the path, default codec, per-manager
-#: filename suffix, needs a path).  Codec ``None`` marks the store that is not
-#: a log: ``codec`` and ``compaction_threshold`` are accepted and ignored for it.
+#: URL scheme -> (constructor taking the path, per-manager filename suffix,
+#: needs a path).  A bare path with no scheme means ``binfile:``.
 JOURNAL_SCHEMES: Dict[str, tuple] = {
-    "memory": (lambda _path, **kw: MemoryJournal(**kw), "json", "", False),
-    "file": (FileJournal, "json", ".journal", True),
-    "binfile": (FileJournal, "binary", ".journal", True),
-    "sqlstore": (_open_sql_store, None, ".db", True),
+    "memory": (lambda _path, **kw: MemoryJournal(**kw), "", False),
+    "binfile": (FileJournal, ".journal", True),
+    "sqlstore": (_open_sql_store, ".db", True),
 }
 
 
@@ -1180,42 +1022,24 @@ def journal_for(
     url_or_path: str,
     sync: str = "always",
     compaction_threshold: Optional[int] = None,
-    codec: Optional[str] = None,
 ) -> Journal:
     """Construct a store from a backend URL (or bare file path).
 
-    ``memory:`` ignores any path; ``file:<path>`` opens (creating if
-    needed) a JSON-lines file journal, ``binfile:<path>`` the same journal
-    defaulting to the binary codec, ``sqlstore:<path>`` a
+    ``memory:`` ignores any path; ``binfile:<path>`` opens (creating if
+    needed) a :class:`FileJournal`, ``sqlstore:<path>`` a
     :class:`~repro.mq.sqlstore.SqlQueueStore`; a bare path with no scheme
-    means ``file:``.  A ``?codec=<name>`` query (or the ``codec``
-    argument) selects the record codec — recovery auto-detects formats,
-    so switching codec over an existing journal is safe.  Unknown
-    schemes raise :class:`PersistenceError` naming the four above.
+    means ``binfile:``.  Unknown schemes raise :class:`PersistenceError`
+    naming the three above, as does a ``?`` query: a URL takes no options.
     """
     scheme, sep, path = url_or_path.partition(":")
     if not sep:
-        scheme, path = "file", url_or_path
-    path, _, query = path.partition("?")
-    for pair in query.split("&"):
-        key, _, value = pair.partition("=")
-        if key == "codec" and value:
-            codec = value
-        elif key:
-            raise PersistenceError(
-                f"unknown journal URL option {key!r} in {url_or_path!r}"
-            )
-    constructor, default_codec, _suffix, needs_path = journal_scheme(scheme)
+        scheme, path = "binfile", url_or_path
+    if "?" in path:
+        raise PersistenceError(f"journal URLs take no options: {url_or_path!r}")
+    constructor, _suffix, needs_path = journal_scheme(scheme)
     if needs_path and not path:
         raise PersistenceError(f"journal backend {scheme.lower()!r} needs a path")
-    if default_codec is None:
-        return constructor(path, sync=sync)
-    return constructor(
-        path,
-        sync=sync,
-        compaction_threshold=compaction_threshold,
-        codec=codec or default_codec,
-    )
+    return constructor(path, sync=sync, compaction_threshold=compaction_threshold)
 
 
 def journal_factory_for(
@@ -1223,7 +1047,6 @@ def journal_factory_for(
     directory: Optional[str] = None,
     sync: str = "always",
     compaction_threshold: Optional[int] = None,
-    codec: Optional[str] = None,
 ) -> Callable[[str], Journal]:
     """Per-manager store factory for testbed-style deployments.
 
@@ -1236,9 +1059,8 @@ def journal_factory_for(
                 journal_factory=journal_factory_for("binfile", tmpdir))
 
     ``memory`` needs no directory; every other backend requires one.
-    ``codec`` (when given) selects the record codec for every journal.
     """
-    _constructor, _codec, suffix, needs_path = journal_scheme(backend)
+    _constructor, suffix, needs_path = journal_scheme(backend)
     if needs_path and directory is None:
         raise PersistenceError(f"journal backend {backend.lower()!r} needs a directory")
 
@@ -1249,7 +1071,6 @@ def journal_factory_for(
             f"{backend}:{os.path.join(directory or '', filename)}",
             sync=sync,
             compaction_threshold=compaction_threshold,
-            codec=codec,
         )
 
     return factory

@@ -602,11 +602,14 @@ class TopicBroker:
             )
 
     def _drain_ingress(self, topic: str) -> None:
-        """Fan out everything currently parked on a topic's ingress queue."""
-        ingress = self.manager.queue(topic_queue_name(topic))
+        """Fan out everything parked on a topic's ingress queue; each take is
+        journaled (in the arrival's commit group), or a restart republishes it."""
+        name = topic_queue_name(topic)
+        ingress = self.manager.queue(name)
         while True:
             try:
                 message = ingress.get()
             except MQError:
                 return
             self.publish(topic, message)
+            self.manager._log_get(name, message)

@@ -54,15 +54,17 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import ChannelError
+from repro.mq.message import Message
 from repro.net.framing import (
     FRAME_ACK,
     FRAME_HELLO,
     FRAME_MSG,
     FrameDecoder,
-    FrameError,
     MAX_FRAME_BYTES,
+    decode_msg,
     decode_payload,
     encode_json_frame,
+    encode_msg_frame,
 )
 from repro.net.rtt import RttEstimator
 
@@ -82,7 +84,7 @@ class EngineEvent:
     Kinds
     -----
     ``message``    receiver: in-order MSG arrived (``seq``, ``queue``,
-                   ``message`` — the ``encode_message`` dict).
+                   ``message`` — the decoded :class:`Message`).
     ``delivered``  sender: peer durably accepted a send (``seq``,
                    ``message_id``) — resolve the spool copy now.
     ``hello``      receiver: peer identified itself (``manager``).
@@ -107,14 +109,13 @@ class EngineEvent:
 
 
 class _InFlight:
-    __slots__ = ("seq", "queue", "message", "message_id", "sent_at", "retransmitted")
+    """One unacknowledged send; ``frame`` is what a retransmit re-emits."""
 
-    def __init__(
-        self, seq: int, queue: str, message: Dict[str, Any], message_id: str
-    ) -> None:
+    __slots__ = ("seq", "frame", "message_id", "sent_at", "retransmitted")
+
+    def __init__(self, seq: int, frame: bytes, message_id: str) -> None:
         self.seq = seq
-        self.queue = queue
-        self.message = message
+        self.frame = frame
         self.message_id = message_id
         self.sent_at = 0.0
         self.retransmitted = False
@@ -232,13 +233,12 @@ class ChannelEngine:
         events: List[EngineEvent] = []
         for magic, payload in self._decoder.feed(data):
             self.metrics["frames_received"] += 1
-            obj = decode_payload(payload)
-            if magic == FRAME_HELLO:
-                events.extend(self._on_hello(obj, now_ms))
+            if magic == FRAME_MSG:
+                events.extend(self._on_msg(*decode_msg(payload)))
+            elif magic == FRAME_HELLO:
+                events.extend(self._on_hello(decode_payload(payload), now_ms))
             elif magic == FRAME_ACK:
-                events.extend(self._on_ack(obj, now_ms))
-            elif magic == FRAME_MSG:
-                events.extend(self._on_msg(obj))
+                events.extend(self._on_ack(decode_payload(payload), now_ms))
         if self._ack_pending:
             self._flush_ack()
         return events
@@ -259,21 +259,19 @@ class ChannelEngine:
         return len(self._unacked)
 
     def send_message(
-        self, queue: str, message: Dict[str, Any], message_id: str, now_ms: float
+        self, queue: str, message: Message, message_id: str, now_ms: float
     ) -> int:
-        """Queue one message frame; returns its sequence number."""
+        """Queue one message frame; returns its seq.  A retransmit re-sends it."""
         if self.role != "sender":
             raise ProtocolError("send_message on a receiver engine")
         if not self.can_send():
             raise ChannelError("channel not writable (no credit or not connected)")
         seq = self._next_seq
+        entry = _InFlight(seq, encode_msg_frame(queue, message, seq), message_id)
         self._next_seq += 1
-        entry = _InFlight(seq, queue, message, message_id)
         entry.sent_at = now_ms
         self._unacked.append(entry)
-        self._emit_frame(
-            FRAME_MSG, {"seq": seq, "queue": queue, "message": message}
-        )
+        self._emit(entry.frame)
         return seq
 
     # ------------------------------------------------------------------
@@ -353,19 +351,20 @@ class ChannelEngine:
         due = self.next_timer(now_ms)
         if due is None or now_ms < due:
             return 0
-        resent = 0
-        for entry in self._unacked:
-            entry.retransmitted = True
-            entry.sent_at = now_ms
-            self._emit_frame(
-                FRAME_MSG,
-                {"seq": entry.seq, "queue": entry.queue, "message": entry.message},
-            )
-            resent += 1
-        self.metrics["retransmits"] += resent
+        resent = self._resend_unacked(now_ms)
         self.rtt.backoff()
         self._backoff_active = True
         return resent
+
+    def _resend_unacked(self, now_ms: float) -> int:
+        """Re-emit every in-flight frame, in order, marked retransmitted
+        (Karn: none of them may later produce an RTT sample)."""
+        for entry in self._unacked:
+            entry.retransmitted = True
+            entry.sent_at = now_ms
+            self._emit(entry.frame)
+        self.metrics["retransmits"] += len(self._unacked)
+        return len(self._unacked)
 
     # ------------------------------------------------------------------
     # frame handlers
@@ -383,20 +382,8 @@ class ChannelEngine:
             events = self._resolve_acked(resync, None)
             self.peer_window = window
             self.handshaken = True
-            # Everything the peer never durably accepted goes again, in
-            # order, marked retransmitted (Karn).
-            for entry in self._unacked:
-                entry.retransmitted = True
-                entry.sent_at = now_ms
-                self._emit_frame(
-                    FRAME_MSG,
-                    {
-                        "seq": entry.seq,
-                        "queue": entry.queue,
-                        "message": entry.message,
-                    },
-                )
-                self.metrics["retransmits"] += 1
+            # Everything the peer never durably accepted goes again.
+            self._resend_unacked(now_ms)
             events.append(EngineEvent("handshaken", manager=peer, window=window))
             return events
         else:
@@ -416,16 +403,9 @@ class ChannelEngine:
             events.append(EngineEvent("window", window=window))
         return events
 
-    def _on_msg(self, obj: Dict[str, Any]) -> List[EngineEvent]:
+    def _on_msg(self, seq: int, queue: str, message: Message) -> List[EngineEvent]:
         if self.role != "receiver":
             raise ProtocolError("MSG frame received by sender engine")
-        seq = obj.get("seq")
-        queue = obj.get("queue")
-        message = obj.get("message")
-        if not isinstance(seq, int) or not isinstance(queue, str):
-            raise ProtocolError("MSG missing seq/queue")
-        if not isinstance(message, dict):
-            raise ProtocolError("MSG missing message body")
         if seq <= self._cursor:
             # Duplicate (retransmit raced our ack) — count and re-ack so
             # the sender converges.
@@ -470,7 +450,9 @@ class ChannelEngine:
         )
 
     def _emit_frame(self, magic: int, obj: Dict[str, Any]) -> None:
-        frame = encode_json_frame(magic, obj)
+        self._emit(encode_json_frame(magic, obj))
+
+    def _emit(self, frame: bytes) -> None:
         self._outbox.extend(frame)
         self.metrics["frames_sent"] += 1
         self.metrics["bytes_sent"] += len(frame)

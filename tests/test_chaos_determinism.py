@@ -128,7 +128,7 @@ class TestEpisodeReplayDeterminism:
     def test_crash_episode_replays_to_identical_timeline(self, tmp_path):
         # Crash/recover cycles re-allocate ids during recovery; the
         # deterministic scope must cover those too.
-        spec = EpisodeSpec.generate(4, journal="file")
+        spec = EpisodeSpec.generate(4, journal="binfile")
         explorer = ChaosExplorer(journal_dir=str(tmp_path))
         first = explorer.run_episode(spec)
         second = explorer.run_episode(spec)

@@ -20,10 +20,10 @@ class TestEpisodeSpec:
         assert len(dicts) > 1
 
     def test_json_round_trip(self):
-        spec = EpisodeSpec.generate(5, journal="file")
+        spec = EpisodeSpec.generate(5, journal="binfile")
         again = EpisodeSpec.from_json(spec.to_json())
         assert again.to_dict() == spec.to_dict()
-        assert again.journal == "file"
+        assert again.journal == "binfile"
 
     def test_generated_plans_validate(self):
         for seed in range(20):
@@ -54,7 +54,7 @@ class TestEpisodeRuns:
         # Seed 4's file-journal plan includes a torn_tail fault that
         # fires mid-episode; FileJournal heals the tear on reopen and
         # logs the truncation.
-        spec = EpisodeSpec.generate(4, journal="file")
+        spec = EpisodeSpec.generate(4, journal="binfile")
         assert any(e.kind == "torn_tail" for e in spec.plan.events)
         with caplog.at_level("WARNING", logger="repro.mq.persistence"):
             result = ChaosExplorer(journal_dir=str(tmp_path)).run_episode(spec)

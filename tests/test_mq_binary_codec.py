@@ -1,25 +1,25 @@
-"""The binary journal codec and format-auto-detecting recovery.
+"""The journal's record codec and recovery.
 
-``codec="binary"`` writes one ``magic | length | CRC-32 | payload`` frame
-per commit group; the payload is the group's records, data-only pickles
-written through one memo.  Reading always dispatches per frame on the
-first byte, so JSON and binary content coexist in one journal — the
-migration story is "switch the codec, keep the log".  These tests pin:
+Every log writes one ``magic | length | CRC-32 | payload`` frame per
+commit group; the payload is the group's records, data-only pickles
+written through one memo.  These tests pin:
 
 * round-trips, including bodies JSON cannot express, and the refusal of
   anything that is not plain data — at the put, on both sides of a batch;
 * one frame per commit group, every shared payload written once;
 * frames written by earlier versions (one pickled dict per frame, groups
-  of member frames) still replay; mixed-format journals;
+  of member frames) still replay;
 * torn-tail healing and group atomicity at every byte offset, CRC
   rejection of mid-file corruption, and a fuzzed scan that only ever
   yields records or ``PersistenceError``;
-* the ``binfile:`` backend URL and the ``?codec=`` query.
+* the ``binfile:`` backend URL and the bare path;
+* the open hazard of a frame whose memo index sizes the loader's memo.
 """
 
 import os
 import pickle
 import struct
+import tracemalloc
 import zlib
 
 import hypothesis.strategies as st
@@ -32,8 +32,8 @@ from repro.mq.message import Message
 from repro.mq.persistence import (
     BinaryRecordCodec,
     FileJournal,
-    JsonLinesCodec,
     MemoryJournal,
+    _load_run,
     _scan_journal,
     journal_for,
 )
@@ -58,11 +58,11 @@ class NotData:
 
 def test_binary_round_trip(tmp_path):
     path = str(tmp_path / "j.bin")
-    journal = FileJournal(path, codec="binary")
+    journal = FileJournal(path)
     journal.append(record(1))
     journal.append_many([record(2), record(3)])
     journal.close()
-    reopened = FileJournal(path, codec="binary")
+    reopened = FileJournal(path)
     assert [r["message"]["n"] for r in reopened.read_all()] == [1, 2, 3]
     reopened.close()
 
@@ -71,11 +71,11 @@ def test_binary_codec_stores_non_json_bodies_natively(tmp_path):
     # Frames are data-only pickles, so bodies JSON cannot express ride
     # through as they are, types intact.
     path = str(tmp_path / "j.bin")
-    journal = FileJournal(path, codec="binary")
+    journal = FileJournal(path)
     body = {"blob": b"\x00\xffdata", "pair": (1, 2), "tags": {"a", "b"}, 7: None}
     journal.append(record(1, body=body))
     journal.close()
-    reopened = FileJournal(path, codec="binary")
+    reopened = FileJournal(path)
     restored = reopened.read_all()[0]["message"]["body"]
     assert restored == body and type(restored["pair"]) is tuple
     reopened.close()
@@ -83,14 +83,14 @@ def test_binary_codec_stores_non_json_bodies_natively(tmp_path):
 
 def test_manager_recovery_round_trips_under_binary_codec(tmp_path):
     path = str(tmp_path / "j.bin")
-    journal = FileJournal(path, codec="binary")
+    journal = FileJournal(path)
     manager = QueueManager("QM.A", SimulatedClock(), journal=journal)
     manager.define_queue("APP.Q")
     manager.put("APP.Q", Message(body={"raw": b"\x01\x02"}))
     manager.put("APP.Q", Message(body="plain"))
     journal.close()
     recovered = QueueManager.recover(
-        "QM.A", SimulatedClock(), FileJournal(path, codec="binary")
+        "QM.A", SimulatedClock(), FileJournal(path)
     )
     assert recovered.depth("APP.Q") == 2
     assert recovered.get("APP.Q").body == {"raw": b"\x01\x02"}
@@ -101,7 +101,7 @@ def test_every_message_field_survives_the_positional_row():
     # Trailing default fields are dropped from a put row; a message that
     # sets every one of them, and one that sets none, both come back whole.
     clock = SimulatedClock()
-    journal = MemoryJournal(codec="binary")
+    journal = MemoryJournal()
     manager = QueueManager("QM.A", clock, journal=journal)
     manager.define_queue("APP.Q")
     full = Message(
@@ -117,7 +117,7 @@ def test_every_message_field_survives_the_positional_row():
 
 
 def test_a_commit_group_is_one_frame_and_shares_what_its_records_share():
-    journal = MemoryJournal(codec="binary")
+    journal = MemoryJournal()
     body = "BODY-MARKER-" + "x" * 500
     original = Message(body=body, correlation_id="CMID-MARKER")
     with journal.batch():
@@ -157,42 +157,25 @@ def test_frames_written_by_earlier_versions_still_replay(tmp_path):
         handle.write(old_put(1))
         handle.write(frame(GROUP, old_put(2) + old_put(3)))
     clock = SimulatedClock()
-    recovered = QueueManager.recover("QM.A", clock, FileJournal(path, codec="binary"))
+    recovered = QueueManager.recover("QM.A", clock, FileJournal(path))
     assert [m.body for m in recovered.browse("A.Q")] == [(n, b"\x00") for n in (1, 2, 3)]
     recovered.put("A.Q", Message(body=4))  # ...and the log takes new frames
     recovered.journal.close()
-    again = QueueManager.recover("QM.A", clock, FileJournal(path, codec="binary"))
+    again = QueueManager.recover("QM.A", clock, FileJournal(path))
     assert [m.body for m in again.browse("A.Q")][-1] == 4
     again.journal.close()
 
 
-def test_mixed_json_and_binary_content_in_one_journal(tmp_path):
-    # An old JSON log appended to under the binary codec replays whole.
-    path = str(tmp_path / "j.log")
-    old = FileJournal(path, codec="json")
-    old.append(record(1))
-    old.close()
-    new = FileJournal(path, codec="binary")
-    new.append(record(2))
-    assert [r["message"]["n"] for r in new.read_all()] == [1, 2]
-    new.close()
-    # And the other direction: binary log reopened under the JSON codec.
-    back = FileJournal(path, codec="json")
-    back.append(record(3))
-    assert [r["message"]["n"] for r in back.read_all()] == [1, 2, 3]
-    back.close()
-
-
 def test_torn_binary_tail_heals_at_open(tmp_path):
     path = str(tmp_path / "j.bin")
-    journal = FileJournal(path, codec="binary")
+    journal = FileJournal(path)
     journal.append(record(1))
     journal.append(record(2))
     journal.close()
     torn = BinaryRecordCodec().encode_record(record(3))[:-4]
     with open(path, "ab") as handle:
         handle.write(torn)
-    healed = FileJournal(path, codec="binary")
+    healed = FileJournal(path)
     assert healed._healed_trailing_records == 1
     assert [r["message"]["n"] for r in healed.read_all()] == [1, 2]
     healed.append(record(4))  # appends after healing never hit torn bytes
@@ -205,7 +188,7 @@ def test_a_group_torn_at_any_byte_replays_whole_or_not_at_all(tmp_path, coalesce
     # A group is one physical frame: cut it anywhere and recovery sees all
     # of its records or none, truncates the torn bytes once, and the next
     # append lands on a clean log.
-    staging = MemoryJournal(codec="binary")
+    staging = MemoryJournal()
     staging.append(record(0))
     with staging.batch():
         staging.append(record(1, body="shared"))
@@ -219,7 +202,7 @@ def test_a_group_torn_at_any_byte_replays_whole_or_not_at_all(tmp_path, coalesce
     for cut in range(len(group) + 1):
         with open(path, "wb") as handle:
             handle.write(first + group[:cut])
-        journal = FileJournal(path, codec="binary")
+        journal = FileJournal(path)
         whole = cut == len(group)
         torn = 0 < cut < len(group)
         assert [r["message"]["n"] for r in journal.read_all()] == (
@@ -230,7 +213,7 @@ def test_a_group_torn_at_any_byte_replays_whole_or_not_at_all(tmp_path, coalesce
         journal.append(record(9))
         assert journal.read_all()[-1]["message"]["n"] == 9
         journal.close()
-        reopened = FileJournal(path, codec="binary")
+        reopened = FileJournal(path)
         assert reopened.skipped_trailing_records == 0, cut  # healed once
         assert reopened.size() == (5 if whole else 2)
         reopened.close()
@@ -238,7 +221,7 @@ def test_a_group_torn_at_any_byte_replays_whole_or_not_at_all(tmp_path, coalesce
 
 def test_crc_mismatch_mid_file_is_rejected(tmp_path):
     path = str(tmp_path / "j.bin")
-    journal = FileJournal(path, codec="binary")
+    journal = FileJournal(path)
     journal.append(record(1))
     journal.append(record(2))
     journal.close()
@@ -249,7 +232,7 @@ def test_crc_mismatch_mid_file_is_rejected(tmp_path):
     with open(path, "wb") as handle:
         handle.write(bytes(data))
     with pytest.raises(PersistenceError):
-        FileJournal(path, codec="binary").read_all()
+        FileJournal(path).read_all()
 
 
 def test_group_frame_holds_run_frames_and_nothing_else():
@@ -266,29 +249,20 @@ def test_group_frame_holds_run_frames_and_nothing_else():
     assert (len(records), torn) == (2, 0)
 
 
-def test_binfile_url_and_codec_query(tmp_path):
-    bin_path = str(tmp_path / "a.journal")
-    journal = journal_for(f"binfile:{bin_path}")
-    assert isinstance(journal, FileJournal)
-    assert isinstance(journal.codec, BinaryRecordCodec)
-    journal.close()
-
-    query_path = str(tmp_path / "b.journal")
-    journal = journal_for(f"file:{query_path}?codec=binary")
-    assert isinstance(journal.codec, BinaryRecordCodec)
-    journal.close()
-
-    plain = journal_for(f"file:{query_path}")
-    assert isinstance(plain.codec, JsonLinesCodec)
-    plain.close()
-
-    with pytest.raises(PersistenceError):
-        journal_for(f"file:{query_path}?codec=nonesuch")
+def test_binfile_url_bare_path_and_no_query(tmp_path):
+    for url in (f"binfile:{tmp_path}/a.journal", str(tmp_path / "b.journal")):
+        journal = journal_for(url)
+        assert isinstance(journal, FileJournal)
+        journal.close()
+    for url in (f"binfile:{tmp_path}/c.journal?codec=binary", "memory:?sync=none"):
+        with pytest.raises(PersistenceError, match="no options"):
+            journal_for(url)
+    assert not os.path.exists(tmp_path / "c.journal?codec=binary")
 
 
 def test_binary_codec_refuses_what_is_not_data(tmp_path):
     path = str(tmp_path / "j.bin")
-    journal = FileJournal(path, codec="binary")
+    journal = FileJournal(path)
     for bad in (lambda: None, NotData(), NotData, 3 + 4j):
         with pytest.raises(PersistenceError):
             journal.append({"op": "put", "queue": "Q", "message": {"bad": bad}})
@@ -298,10 +272,9 @@ def test_binary_codec_refuses_what_is_not_data(tmp_path):
     assert os.path.getsize(path) == 0  # nothing was written
 
 
-@pytest.mark.parametrize("codec", ["json", "binary"])
-def test_refusal_inside_a_group_is_at_the_put_and_costs_the_group_nothing(codec):
+def test_refusal_inside_a_group_is_at_the_put_and_costs_the_group_nothing():
     clock = SimulatedClock()
-    journal = MemoryJournal(codec=codec)
+    journal = MemoryJournal()
     manager = QueueManager("QM.A", clock, journal=journal)
     manager.define_queue("A.Q")
     shared = {"payload": "x" * 64}
@@ -325,7 +298,7 @@ def test_refusal_inside_a_group_is_at_the_put_and_costs_the_group_nothing(codec)
 
 
 def test_encode_record_is_a_finished_frame_and_leaves_an_open_group_alone():
-    journal = MemoryJournal(codec="binary")
+    journal = MemoryJournal()
     with journal.batch():
         journal.append(record(1))
         standalone = journal.codec.encode_record(record(99))
@@ -338,18 +311,15 @@ def test_encode_record_is_a_finished_frame_and_leaves_an_open_group_alone():
 # -- every decoder of external bytes: records or a typed error, nothing else ---
 
 
-def valid_mixed_log():
+def valid_log():
     clock = SimulatedClock()
-    journal = MemoryJournal(codec="json")
+    journal = MemoryJournal()
     manager = QueueManager("QM.A", clock, journal=journal)
     manager.define_queue("A.Q")
     manager.put("A.Q", Message(body={"json": [1, 2]}))
     with manager.group_commit():
         manager.put("A.Q", Message(body=(1, b"\x00")))
         manager.put("A.Q", Message(body="two"))
-    binary = MemoryJournal(codec="binary")
-    binary._frames = journal._frames
-    manager.journal = binary
     shared = "s" * 40
     manager.put("A.Q", Message(body=shared))
     with manager.group_commit():
@@ -357,16 +327,14 @@ def valid_mixed_log():
             manager.put("A.Q", Message(body=shared, properties={"n": n}))
         manager.get("A.Q")
     old = pickle.dumps({"op": "define", "queue": "B.Q"}, 5)
-    binary._frames.append(frame(GROUP, frame(RUN, old) + frame(RUN, old)))
-    return b"".join(binary._frames)
+    journal._frames.append(frame(GROUP, frame(RUN, old) + frame(RUN, old)))
+    return b"".join(journal._frames)
 
 
-MIXED_LOG = valid_mixed_log()
+LOG = valid_log()
 #: a frame with a valid CRC over a pickle that names (and would call) ``pwn``
 EXPLOIT_FRAME = frame(RUN, pickle.dumps(Exploit()))
-#: a JSON line nested past the parser's stack (``RecursionError`` in json.loads)
-DEEP_LINE = b'{"a":' + b"[" * 200000 + b"]" * 200000 + b"}\n"
-positions = st.integers(min_value=0, max_value=len(MIXED_LOG))
+positions = st.integers(min_value=0, max_value=len(LOG))
 mutations = st.lists(
     st.one_of(
         st.tuples(st.just("flip"), positions, st.integers(min_value=1, max_value=255)),
@@ -374,27 +342,25 @@ mutations = st.lists(
         st.tuples(st.just("splice"), positions, positions, positions),
         st.tuples(st.just("insert"), positions, st.binary(max_size=12)),
         st.tuples(st.just("insert"), positions, st.just(EXPLOIT_FRAME)),
-        st.tuples(st.just("insert"), positions, st.just(DEEP_LINE)),
     ),
     min_size=1,
     max_size=4,
 )
 
 
-def test_the_unmutated_mixed_log_scans_clean():
-    records, valid_end, torn = _scan_journal(MIXED_LOG, "<fuzz>")
-    assert (len(records), valid_end, torn) == (11, len(MIXED_LOG), 0)
+def test_the_unmutated_log_scans_clean():
+    records, valid_end, torn = _scan_journal(LOG, "<fuzz>")
+    assert (len(records), valid_end, torn) == (11, len(LOG), 0)
     with pytest.raises(PersistenceError):
-        _scan_journal(MIXED_LOG + EXPLOIT_FRAME, "<fuzz>")
+        _scan_journal(LOG + EXPLOIT_FRAME, "<fuzz>")
     assert pickle.loads(pickle.dumps(Exploit())) is None and PWNED.pop() == "unpickled"
 
 
 @settings(max_examples=400, deadline=1000)
 @given(mutations, st.booleans())
-@example([("insert", 0, DEEP_LINE)], True)
-@example([("insert", len(MIXED_LOG), DEEP_LINE)], False)
+@example([("insert", 0, b'{"op": "define", "queue": "Q"}\n')], False)
 def test_scanning_mutated_bytes_gives_records_or_persistence_error(ops, strict):
-    data = bytearray(MIXED_LOG)
+    data = bytearray(LOG)
     for op in ops:
         if op[0] == "flip" and data:
             data[op[1] % len(data)] ^= op[2]
@@ -412,3 +378,22 @@ def test_scanning_mutated_bytes_gives_records_or_persistence_error(ops, strict):
         assert 0 <= valid_end <= len(data) and torn in (0, 1)
     assert all(isinstance(r, dict) for r in records)
     assert PWNED == []  # no global was resolved, let alone called
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open hazard: the journal loader sees frame bytes unchecked, and a"
+    " memo index sizes its memo (docs/SEMANTICS.md section 9.4)",
+)
+def test_a_memo_index_in_a_journal_frame_cannot_make_the_loader_allocate():
+    # The wire refuses this shape before loading it (tests/test_net_framing);
+    # an index of 2**26 would allocate about 1 GB, 2**20 shows it with 16 MB.
+    payload = b"\x80\x05Nr" + (2**20).to_bytes(4, "little") + b"."
+    tracemalloc.start()
+    try:
+        with pytest.raises(PersistenceError):
+            _load_run(payload)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

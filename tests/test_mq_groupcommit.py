@@ -435,7 +435,7 @@ class SenderCrashes:
         return store, len(calls), clock
 
     def restart(self, scheme, tmp_path, clock, store):
-        if JOURNAL_SCHEMES[scheme][3]:  # path-backed: a new process reopens it
+        if JOURNAL_SCHEMES[scheme][2]:  # path-backed: a new process reopens it
             store.close()
             store = journal_factory_for(scheme, str(tmp_path), sync="none")("QM.S")
         return QueueManager.recover("QM.S", clock, store)
@@ -569,7 +569,7 @@ class TestReadIsOneCommitGroup:
 
     def state(self, scheme, tmp_path, store):
         """(inbox, receiver log, spooled acks) after a restart."""
-        if JOURNAL_SCHEMES[scheme][3]:  # path-backed: a new process reopens it
+        if JOURNAL_SCHEMES[scheme][2]:  # path-backed: a new process reopens it
             store.close()
             store = journal_factory_for(scheme, str(tmp_path), sync="none")("QM.R")
         remote = QueueManager.recover("QM.R", SimulatedClock(), store)
@@ -690,7 +690,7 @@ def _recovered_state(clock, journal):
 
 
 #: schemes whose store survives in a file a fresh object can reopen
-PATH_SCHEMES = [s for s in sorted(JOURNAL_SCHEMES) if JOURNAL_SCHEMES[s][3]]
+PATH_SCHEMES = [s for s in sorted(JOURNAL_SCHEMES) if JOURNAL_SCHEMES[s][2]]
 
 
 class TestRecoveryEquivalence:

@@ -162,6 +162,23 @@ class TestIngressQueue:
         sender.put_remote("QM.HUB", topic_queue_name("news"), Message(body="hi"))
         assert hub.get(SUBSCRIPTION_QUEUE_PREFIX + "reader").body == "hi"
 
+    def test_a_restart_publishes_nothing_again(self, clock, journaled_manager):
+        # The drain's get is journaled in the arrival's own commit group:
+        # a restarted hub holds each published message once, on its
+        # subscription queue, and nothing on the ingress queue that the
+        # next arrival would fan out a second time.
+        broker = TopicBroker(journaled_manager)
+        broker.define_topic("news")
+        broker.subscribe("news", "reader")
+        flushes = journaled_manager.journal.flush_count
+        for n in range(3):
+            journaled_manager.put(topic_queue_name("news"), Message(body=n))
+        assert journaled_manager.journal.flush_count - flushes == 3
+        hub = QueueManager.recover("QM.TEST", clock, journaled_manager.journal)
+        assert hub.depth(topic_queue_name("news")) == 0
+        reader = SUBSCRIPTION_QUEUE_PREFIX + "reader"
+        assert [m.body for m in hub.browse(reader)] == [0, 1, 2]
+
     def test_define_topic_idempotent(self, broker):
         first = broker.define_topic("t")
         second = broker.define_topic("t")

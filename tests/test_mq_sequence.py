@@ -6,7 +6,6 @@ consumed messages included — and the watermark itself must accept each
 seq once, whatever the arrival order and wherever a crash cuts it.
 """
 
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -256,9 +255,8 @@ def test_a_watermark_advances_over_the_seqs_that_arrived_early():
 # -- stores -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", ["json", "binary"])
-def test_a_log_replays_channels_from_rows_resolutions_and_a_snapshot(codec):
-    journal = persistence.MemoryJournal(codec=codec)
+def test_a_log_replays_channels_from_rows_resolutions_and_a_snapshot():
+    journal = persistence.MemoryJournal()
     parked = [
         Message(body=n, properties={PROP_ROUTE_SEQ: n + 1}) for n in range(3)
     ]
@@ -387,9 +385,7 @@ def test_a_redrive_settles_the_hole_an_expired_copy_leaves():
 )
 def test_a_malformed_channel_record_is_a_persistence_error(record):
     journal = persistence.MemoryJournal()
-    journal._frames = [
-        json.dumps(record).encode() + b"\n",
-        b'{"op": "define", "queue": "Q"}\n',
-    ]
+    journal.append(record)
+    journal.append({"op": "define", "queue": "Q"})
     with pytest.raises(PersistenceError):
         journal.recover()

@@ -21,9 +21,10 @@ from repro.mq.persistence import (
     BinaryRecordCodec,
     FileJournal,
     MemoryJournal,
-    encode_message,
+    expand_row,
     journal_factory_for,
     journal_for,
+    put_row,
 )
 from repro.mq.sqlstore import SqlQueueStore
 from repro.obs.registry import MetricsRegistry
@@ -31,9 +32,14 @@ from repro.sim.clock import SimulatedClock
 
 SCHEMES = sorted(JOURNAL_SCHEMES)
 #: schemes whose store lives at a path (everything but ``memory``)
-PATH_SCHEMES = [s for s in SCHEMES if JOURNAL_SCHEMES[s][3]]
+PATH_SCHEMES = [s for s in SCHEMES if JOURNAL_SCHEMES[s][2]]
 #: schemes that keep a replay log (everything but ``sqlstore``)
-LOG_SCHEMES = [s for s in SCHEMES if JOURNAL_SCHEMES[s][1] is not None]
+LOG_SCHEMES = [s for s in SCHEMES if s != "sqlstore"]
+
+
+def encode_message(message):
+    """The dict form of a message, as a put record carries it."""
+    return expand_row(put_row("", message))["message"]
 
 
 @pytest.fixture
@@ -279,17 +285,6 @@ class TestNoStoreCanMakeARestartRunCode:
             QueueManager.recover("QM.S", clock, open_store("binfile", tmp_path))
         assert PWNED == []
 
-    def test_file_line_with_a_pickle_labelled_body(self, clock, tmp_path):
-        path = self.crashed("file", clock, tmp_path)
-        blob = base64.b64encode(pickle.dumps(Exploit())).decode("ascii")
-        message = {"message_id": "m1", "body": {"kind": "pickle", "data": blob}}
-        with open(path, "a") as handle:
-            handle.write(json.dumps({"op": "put", "queue": "A.Q", "message": message}))
-            handle.write("\n")
-        with pytest.raises(PersistenceError):
-            QueueManager.recover("QM.S", clock, open_store("file", tmp_path))
-        assert PWNED == []
-
     def refused_at_first_read(self, clock, tmp_path, tamper):
         """Replace the stored row's ``encoded`` column with
         ``tamper(honest value)``; the restarted store must refuse it."""
@@ -369,7 +364,6 @@ def corrupt_crc_frame(_codec):
 #: what a crash mid-append can leave at the end of a log: codec -> bytes
 BAD_TAILS = {
     "truncated frame": lambda codec: codec.encode_record(TORN_PUT)[:-4],
-    "unparseable final JSON line": lambda _codec: b'{"op": "put", "queue": "A.Q", "mess\n',
     "wrong CRC at end of file": corrupt_crc_frame,
 }
 
@@ -492,32 +486,24 @@ class TestSchemeTable:
     def test_journal_for_schemes(self, tmp_path):
         memory = journal_for("memory:")
         assert isinstance(memory, MemoryJournal)
-        file_journal = journal_for(f"file:{tmp_path}/a.journal", sync="batch")
-        assert isinstance(file_journal, FileJournal)
-        assert file_journal.sync_policy == "batch"
-        assert file_journal.codec.name == "json"
-        binfile = journal_for(f"BINFILE:{tmp_path}/b.journal")
+        binfile = journal_for(f"BINFILE:{tmp_path}/b.journal", sync="batch")
         assert isinstance(binfile, FileJournal)
-        assert binfile.codec.name == "binary"
-        store = journal_for(
-            f"sqlstore:{tmp_path}/a.db?codec=binary", compaction_threshold=9
-        )
-        assert isinstance(store, SqlQueueStore)  # log-only knobs ignored
-        for opened in (file_journal, binfile, store):
+        assert binfile.sync_policy == "batch"
+        store = journal_for(f"sqlstore:{tmp_path}/a.db", compaction_threshold=9)
+        assert isinstance(store, SqlQueueStore)  # the log-only knob ignored
+        for opened in (binfile, store):
             opened.close()
 
-    def test_bare_path_means_file(self, tmp_path):
+    def test_bare_path_means_binfile(self, tmp_path):
         journal = journal_for(str(tmp_path / "bare.journal"))
         assert isinstance(journal, FileJournal)
         journal.close()
 
-    def test_unknown_scheme_names_the_four(self):
-        # ``sqlite`` was a scheme once; it is unknown like any other now
-        # (schemes are matched case-insensitively).
-        for url in ("etcd:/somewhere", "SQLite:x"):
-            with pytest.raises(
-                PersistenceError, match="binfile, file, memory, sqlstore$"
-            ):
+    def test_unknown_scheme_names_the_three(self):
+        # ``sqlite`` and ``file`` were schemes once; they are unknown like
+        # any other now (schemes are matched case-insensitively).
+        for url in ("etcd:/somewhere", "SQLite:x", "file:x"):
+            with pytest.raises(PersistenceError, match="binfile, memory, sqlstore$"):
                 journal_for(url)
 
     @pytest.mark.parametrize("scheme", PATH_SCHEMES)
@@ -527,7 +513,7 @@ class TestSchemeTable:
 
     @pytest.mark.parametrize("scheme", PATH_SCHEMES)
     def test_manager_accepts_backend_url(self, scheme, clock, tmp_path):
-        url = f"{scheme}:{tmp_path}/qm{JOURNAL_SCHEMES[scheme][2]}"
+        url = f"{scheme}:{tmp_path}/qm{JOURNAL_SCHEMES[scheme][1]}"
         manager = QueueManager("QM.S", clock, journal=url)
         manager.define_queue("A.Q")
         manager.put("A.Q", Message(body=1))
@@ -542,7 +528,7 @@ class TestSchemeTable:
         # directory, so a fresh directory worked for file journals only.
         fresh = tmp_path / "not" / "yet" / "there"
         store = journal_factory_for(scheme, str(fresh))("QM.R1")
-        assert store.path == str(fresh / ("QM_R1" + JOURNAL_SCHEMES[scheme][2]))
+        assert store.path == str(fresh / ("QM_R1" + JOURNAL_SCHEMES[scheme][1]))
         store.close()
 
     def test_memory_factory_needs_no_directory(self):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net.framing import FrameError, encode_json_frame, FRAME_MSG
+from repro.mq.message import Message
+from repro.net.framing import FrameError, encode_msg_frame
 from repro.net.protocol import ChannelEngine, ProtocolError
 from repro.net.rtt import RttEstimator
 
@@ -30,7 +31,11 @@ def pump(src, dst, now):
     return dst.receive_bytes(data, now)
 
 
-MSG = {"id": "m-1", "body": {"k": "v"}}
+def msg(message_id):
+    return Message(body={"id": message_id}, message_id=message_id)
+
+
+MSG = Message(body={"k": "v"}, message_id="m-1")
 
 
 class TestHandshake:
@@ -65,7 +70,7 @@ class TestDeliveryAndAcks:
         events = pump(sender, receiver, 15.0)
         assert [e.kind for e in events] == ["message"]
         assert events[0].queue == "Q1"
-        assert events[0].message == MSG
+        assert vars(events[0].message) == vars(MSG)
 
         # No ack rides the wire until delivery is confirmed (journaled).
         assert receiver.data_to_send() == b""
@@ -105,9 +110,7 @@ class TestDeliveryAndAcks:
         sender, receiver = make_pair()
         connect(sender, receiver)
         # Hand-craft seq 5 out of nowhere.
-        rogue = encode_json_frame(
-            FRAME_MSG, {"seq": 5, "queue": "Q1", "message": MSG}
-        )
+        rogue = encode_msg_frame("Q1", MSG, 5)
         with pytest.raises(ProtocolError, match="gap"):
             receiver.receive_bytes(rogue, 0.0)
 
@@ -128,17 +131,17 @@ class TestCredit:
     def test_window_exhaustion_blocks_send(self):
         sender, receiver = make_pair(window=2)
         connect(sender, receiver)
-        sender.send_message("Q1", {"id": "a"}, "a", 0.0)
-        sender.send_message("Q1", {"id": "b"}, "b", 0.0)
+        sender.send_message("Q1", msg("a"), "a", 0.0)
+        sender.send_message("Q1", msg("b"), "b", 0.0)
         assert not sender.can_send()
         with pytest.raises(Exception):
-            sender.send_message("Q1", {"id": "c"}, "c", 0.0)
+            sender.send_message("Q1", msg("c"), "c", 0.0)
 
     def test_ack_restores_credit(self):
         sender, receiver = make_pair(window=2)
         connect(sender, receiver)
-        sender.send_message("Q1", {"id": "a"}, "a", 0.0)
-        sender.send_message("Q1", {"id": "b"}, "b", 0.0)
+        sender.send_message("Q1", msg("a"), "a", 0.0)
+        sender.send_message("Q1", msg("b"), "b", 0.0)
         pump(sender, receiver, 1.0)
         receiver.confirm_delivery(2)
         pump(receiver, sender, 2.0)
@@ -191,7 +194,7 @@ class TestRetransmission:
         sender, receiver = make_pair(window=8, initial_rto=100.0)
         connect(sender, receiver)
         for i in range(3):
-            sender.send_message("Q1", {"id": f"m{i}"}, f"m{i}", now_ms=0.0)
+            sender.send_message("Q1", msg(f"m{i}"), f"m{i}", now_ms=0.0)
         sender.data_to_send()  # all lost
         assert sender.on_timer(100.0) == 3
         events = pump(sender, receiver, 101.0)
@@ -212,7 +215,7 @@ class TestReconnectResync:
         sender, receiver = make_pair(window=8)
         connect(sender, receiver)
         for i in range(3):
-            sender.send_message("Q1", {"id": f"m{i}"}, f"m{i}", now_ms=0.0)
+            sender.send_message("Q1", msg(f"m{i}"), f"m{i}", now_ms=0.0)
         pump(sender, receiver, 1.0)
         receiver.confirm_delivery(2)  # m0, m1 durable; ack lost with the conn
         receiver.data_to_send()
@@ -252,14 +255,14 @@ class TestReconnectResync:
     def test_seq_numbers_continue_across_epochs(self):
         sender, receiver = make_pair()
         connect(sender, receiver)
-        sender.send_message("Q1", {"id": "a"}, "a", 0.0)
+        sender.send_message("Q1", msg("a"), "a", 0.0)
         pump(sender, receiver, 1.0)
         receiver.confirm_delivery(1)
         pump(receiver, sender, 2.0)
         sender.connection_lost(3.0)
         receiver.connection_lost(3.0)
         connect(sender, receiver, now=4.0)
-        seq = sender.send_message("Q1", {"id": "b"}, "b", 5.0)
+        seq = sender.send_message("Q1", msg("b"), "b", 5.0)
         assert seq == 2
         events = pump(sender, receiver, 6.0)
         assert [e.data["seq"] for e in events] == [2]

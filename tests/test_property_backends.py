@@ -155,7 +155,7 @@ def _restart(manager, backend, factory, clock):
     """Crash and recover as a new process would: path schemes get a fresh
     store object over the same file, ``memory`` its surviving journal."""
     store = manager.journal or manager.store
-    if JOURNAL_SCHEMES[backend][3]:
+    if JOURNAL_SCHEMES[backend][2]:
         store.close()
         store = factory("QM.EQ")
     return QueueManager.recover("QM.EQ", clock, store)

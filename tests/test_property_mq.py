@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from repro.errors import EmptyQueueError
 from repro.mq.manager import QueueManager
 from repro.mq.message import Message
-from repro.mq.persistence import MemoryJournal, decode_message, encode_message
+from repro.mq.persistence import MemoryJournal, decode_message, expand_row, put_row
 from repro.mq.queue import MessageQueue
 from repro.mq.selectors import Selector
 from repro.sim.clock import SimulatedClock
@@ -69,7 +69,7 @@ def test_rollback_preserves_delivery_order(priority_list, rng):
 @given(bodies, prop_maps, priorities)
 def test_message_codec_roundtrip(body, props, priority):
     message = Message(body=body, properties=props, priority=priority)
-    restored = decode_message(encode_message(message))
+    restored = decode_message(expand_row(put_row("Q", message))["message"])
     assert restored.body == body
     assert restored.properties == props
     assert restored.priority == priority

@@ -105,8 +105,8 @@ OPTION_CENSUS = {
     " journal_sync journal_factory notify_success tracer metrics",
     MultiprocessDeployment: "receivers messages transport socket_dir capacity"
     " pickup_ms timeout_s",
-    journal_for: "url_or_path sync compaction_threshold codec",
-    journal_factory_for: "backend directory sync compaction_threshold codec",
+    journal_for: "url_or_path sync compaction_threshold",
+    journal_factory_for: "backend directory sync compaction_threshold",
 }
 
 

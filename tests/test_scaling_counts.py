@@ -200,7 +200,7 @@ def test_a_fanout_send_writes_each_payload_once_on_a_binary_journal():
         FANOUT8,
         latency_ms=1,
         journaled=True,
-        journal_factory=journal_factory_for("memory", codec="binary"),
+        journal_factory=journal_factory_for("memory"),
     )
     condition = condition_for(bed, FANOUT8)
 
