@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (
     EmptyQueueError,
     MQError,
+    PersistenceError,
     QueueExistsError,
     QueueNotFoundError,
 )
@@ -94,6 +95,25 @@ class TestPutGet:
         dead = manager.get(DEAD_LETTER_QUEUE)
         assert dead.body == "dying"
         assert dead.get_property("DLQ_REASON") == "expired"
+
+
+class _NotData:
+    pass
+
+
+@pytest.mark.parametrize("store", ["memory:", "binfile", "sqlstore"])
+def test_a_put_the_store_refuses_leaves_no_message(clock, tmp_path, store):
+    url = store if store == "memory:" else f"{store}:{tmp_path}/qm"
+    manager = QueueManager("QM.A", clock, journal=url)
+    manager.define_queue("Q")
+    manager.queue("Q").subscribe(lambda _m: None)  # the put opens a commit group
+    for _ in range(2):
+        with pytest.raises(PersistenceError):
+            manager.put("Q", Message(body=_NotData()))
+    assert manager.depth("Q") == 0
+    manager.put("Q", Message(body="data"))
+    assert [m.body for m in manager.browse("Q")] == ["data"]
+    (manager.store or manager.journal).close()
 
 
 class TestBackoutThreshold:
