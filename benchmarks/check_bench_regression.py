@@ -22,9 +22,9 @@ depend on the machine — no wall-clock rate is gated:
   tolerance the gate was given: one more record or byte per send than the
   committed baseline fails, fewer asks for the baseline to be refreshed.
 * ``BENCH_restart.json`` — per restart shape, the exact
-  ``messages_live``, ``messages_decoded`` and ``records_scanned``, gated
-  the same way: a restart that resurrects or reads more than the
-  committed baseline fails.
+  ``messages_live``, ``messages_decoded``, ``records_scanned`` and
+  ``bytes_rewritten``, gated the same way: a restart that resurrects,
+  reads or writes back more than the committed baseline fails.
 * ``BENCH_query.json`` — ``speedup_10k``, the worst selector-pushdown
   speedup over the linear scan at depth 10k;
 * ``BENCH_pubsub.json`` — ``speedup_10k_subs``, the subscription-trie
@@ -49,7 +49,9 @@ RATIO_FIELDS = ("speedup_10k", "speedup_10k_subs")
 COUNT_FIELDS = ("records_per_send", "bytes_per_send")
 #: exact per-shape counts of ``BENCH_restart.json`` (lower is better)
 RESTART_SHAPES = ("all_live", "consumed")
-RESTART_FIELDS = ("messages_live", "messages_decoded", "records_scanned")
+RESTART_FIELDS = (
+    "messages_live", "messages_decoded", "records_scanned", "bytes_rewritten",
+)
 
 
 def _load(path):

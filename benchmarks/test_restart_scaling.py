@@ -47,8 +47,14 @@ nothing rewritten, 0.26-0.29 s.  Consumed: 155,085 scanned (+9
 before; what is left is the receivers' ``DS.RLOG.Q`` entries, which
 nothing prunes yet), all 9 logs / 6.0 MB rewritten (each receiver log is
 now more than half dead), 3.0-3.4 s: the scan of every record ever
-logged, not the decode, is what a consumed restart pays.  ``benchmarks/check_bench_regression.py`` gates the
-three counts of each shape at zero tolerance upward.
+logged, not the decode, is what a consumed restart pays.
+
+Since a checkpoint writes its snapshot as run frames of 1,024 records
+through one memo each, the consumed restart writes back 5,521,073 bytes
+(6,002,731 as one frame per record); every other count is unchanged.
+``benchmarks/check_bench_regression.py`` gates messages live, messages
+decoded, records scanned and bytes rewritten of each shape at zero
+tolerance upward.
 
 Results land in ``BENCH_restart.json`` at the repo root.  Only the
 machine-independent facts are asserted — decoded == live in both shapes,

@@ -812,8 +812,10 @@ class QueueManager:
         queue, one ``put`` per live message, one ``channel`` per peer), or
         when the replay skipped a corrupt tail.  Resolutions the crashed
         incarnation had not written are dropped, and the channels' seqs
-        come back with the queues.  Otherwise the log is left exactly as found, and
-        ``compaction_threshold`` bounds its growth as it does mid-run.
+        come back with the queues.  Otherwise the log is left exactly as
+        found, and is compacted again by the rule that applies mid-run:
+        once it holds ``compaction_threshold`` records and twice what a
+        checkpoint would write now.
         What the restart did is on the journal (``recover_records``,
         ``recover_live``, ``recover_compacted``) and, with a registry, on
         ``journal.recover.*``.
@@ -872,6 +874,10 @@ class QueueManager:
             + len(journal.recovered_channels)
             + journal.recover_live
         )
+        # A log left as found is compacted again only once it doubles what
+        # is live now (``Journal.needs_compaction``), as if it had just
+        # been rewritten; a rewrite here sets the count itself.
+        journal.snapshot_records = snapshot_records
         journal.recover_compacted = int(
             journal.skipped_trailing_records != 0
             or journal.size() >= 2 * snapshot_records
@@ -897,7 +903,7 @@ class QueueManager:
         return True
 
     def _maybe_autocompact(self) -> None:
-        """Checkpoint when the journal outgrew its compaction threshold.
+        """Checkpoint when the journal asks for it (``needs_compaction``).
 
         Called after journaled mutations; re-entrancy guarded because the
         checkpoint itself runs through journal machinery.  Compaction is

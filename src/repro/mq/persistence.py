@@ -32,7 +32,12 @@ records per force-out):
 * the **sync policy** (``always`` / ``batch`` / ``none``) controls when the
   file journal forces data to disk (``os.fsync``), and a
   ``compaction_threshold`` lets the owning queue manager checkpoint
-  automatically once the log grows past a bound.
+  automatically: once the log holds that many records **and** twice what
+  the last rewrite or restart found live (:meth:`Journal.needs_compaction`),
+  so a rewrite never costs more than the appends it retires;
+* a checkpoint writes its snapshot as run frames of
+  :data:`SNAPSHOT_RUN_RECORDS` records, each through one memo, as a
+  commit group is written.
 
 Records have **one encoding**, the one every store and the wire share:
 each logged operation is a positional row (:func:`put_row`), and a commit
@@ -57,6 +62,7 @@ is not a log at all); see :func:`journal_for` and :func:`journal_factory_for`.
 from __future__ import annotations
 
 import io
+import itertools
 import logging
 import os
 import pickle
@@ -297,6 +303,29 @@ class BinaryRecordCodec:
         return _bin_frame(_MAGIC_GROUP, b"".join(frames))
 
 
+#: Records per run frame of a checkpoint's snapshot.  One memo spans a run,
+#: so what its records share — queue and property names, a body several
+#: queues hold — is written once.  The bound keeps the memo and the run's
+#: bytes small: 4,096-record runs wrote an 11 % smaller snapshot and
+#: doubled the memory the encoding held at its peak (docs/SEMANTICS.md §9).
+SNAPSHOT_RUN_RECORDS = 1024
+
+
+def encode_snapshot(records: Iterable[Any]) -> Tuple[List[bytes], int]:
+    """``records`` as run frames of :data:`SNAPSHOT_RUN_RECORDS` records,
+    through one codec, and how many records they hold."""
+    codec = BinaryRecordCodec()
+    records = iter(records)
+    frames: List[bytes] = []
+    count = 0
+    while True:
+        staged = codec.stage(itertools.islice(records, SNAPSHOT_RUN_RECORDS))
+        if not staged:
+            return frames, count
+        count += staged
+        frames += codec.take()
+
+
 def _load_run(payload: bytes) -> List[Dict[str, Any]]:
     """Decode the records of one run payload, rows expanded to dicts."""
     records: List[Dict[str, Any]] = []
@@ -421,10 +450,11 @@ class Journal(ABC):
             checkpoints, ``"none"`` never (the OS decides).  Only the file
             journal actually fsyncs; the policy is accepted everywhere so
             deployments can switch stores without changing configuration.
-        compaction_threshold: When set, :meth:`needs_compaction` turns true
-            once the live log holds at least this many records; the owning
-            queue manager then checkpoints automatically, amortizing the
-            rewrite cost over many appends.
+        compaction_threshold: When set, the floor under which the log is
+            never compacted: :meth:`needs_compaction` turns true once the
+            log holds at least this many records and twice
+            :attr:`snapshot_records`; the owning queue manager then
+            checkpoints automatically.
     """
 
     def __init__(
@@ -442,6 +472,10 @@ class Journal(ABC):
         self.bytes_written = 0
         #: checkpoint rewrites performed
         self.rewrites = 0
+        #: records the last rewrite wrote, or the last restart found live
+        #: (set by ``QueueManager.recover``): the log is compacted again
+        #: only once it is twice this long (see :meth:`needs_compaction`)
+        self.snapshot_records = 0
         #: corrupt trailing records skipped by the last :meth:`read_all`
         #: (a partial frame from a crash mid-append — a torn multi-record
         #: group counts once); the file journal includes a torn tail it
@@ -491,8 +525,9 @@ class Journal(ABC):
         """Return every record, oldest first."""
 
     @abstractmethod
-    def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
-        """Atomically replace the log content (used by checkpointing)."""
+    def rewrite(self, records: Iterable[Any]) -> None:
+        """Atomically replace the log content with ``records`` (used by
+        checkpointing), encoded by :func:`encode_snapshot`."""
 
     def size(self) -> int:
         """Number of logical records currently in the live log.
@@ -638,11 +673,19 @@ class Journal(ABC):
         self._resolved = []
 
     def needs_compaction(self) -> bool:
-        """True when the live log has outgrown ``compaction_threshold``."""
+        """True when the log holds at least ``compaction_threshold`` records
+        and twice :attr:`snapshot_records`.
+
+        The doubling-array rule: a rewrite follows at least as many appends
+        as the previous snapshot held records, so it writes no more than
+        twice the records appended since, and each appended record is
+        rewritten about once on average however large the live state grows.
+        """
         return (
             self.compaction_threshold is not None
             and self._batch_depth == 0
-            and self.size() >= self.compaction_threshold
+            and self.size()
+            >= max(self.compaction_threshold, 2 * self.snapshot_records)
         )
 
     # -- logical operations -------------------------------------------------
@@ -706,6 +749,7 @@ class Journal(ABC):
         self._resolved = []
         self.rewrite(records)
         self.rewrites += 1
+        self.snapshot_records = len(records)
         if self.metrics is not None:
             self.metrics.incr("journal.checkpoints")
 
@@ -834,9 +878,8 @@ class MemoryJournal(Journal):
         self.skipped_trailing_records = torn
         return records
 
-    def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
-        self._frames = [self.codec.encode_record(record) for record in records]
-        self._records_in_log = len(self._frames)
+    def rewrite(self, records: Iterable[Any]) -> None:
+        self._frames, self._records_in_log = encode_snapshot(records)
 
 
 class FileJournal(Journal):
@@ -963,9 +1006,9 @@ class FileJournal(Journal):
             raise PersistenceError(f"journal read failed: {exc}") from exc
         return records
 
-    def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
+    def rewrite(self, records: Iterable[Any]) -> None:
         tmp_path = self.path + ".tmp"
-        frames = [self.codec.encode_record(record) for record in records]
+        frames, count = encode_snapshot(records)
         try:
             with open(tmp_path, "wb") as f:
                 f.writelines(frames)
@@ -978,7 +1021,7 @@ class FileJournal(Journal):
             self._fh = open(self.path, "ab")
         except OSError as exc:
             raise PersistenceError(f"journal rewrite failed: {exc}") from exc
-        self._records_in_log = len(frames)
+        self._records_in_log = count
         self._opened = None
         # The rewritten log no longer contains the healed torn tail.
         self._healed_trailing_records = 0

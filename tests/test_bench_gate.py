@@ -90,6 +90,24 @@ class TestGating:
             assert main(["--gate", f"{base}:{write(tmp_path / 'g.json', grown)}:0.9"]) == 1
         assert main(["--gate", f"{base}:{write(tmp_path / 'f.json', restart(250))}"]) == 0
 
+    def test_restart_bytes_rewritten_is_gated_at_zero_tolerance_upward(self, tmp_path):
+        def restart(rewritten):
+            shape = {
+                "messages_live": 500, "messages_decoded": 500,
+                "records_scanned": 1_000, "bytes_rewritten": rewritten,
+            }
+            return {"fanout": 8, "all_live": dict(shape, bytes_rewritten=0), "consumed": shape}
+
+        base = write(tmp_path / "b.json", restart(5_520_000))
+        assert main(["--gate", f"{base}:{write(tmp_path / 's.json', restart(5_520_000))}"]) == 0
+        grown = write(tmp_path / "g.json", restart(5_520_001))
+        assert main(["--gate", f"{base}:{grown}:0.9"]) == 1
+        assert main(["--gate", f"{base}:{write(tmp_path / 'f.json', restart(5_000_000))}"]) == 0
+        # A current file that stopped reporting it fails as well.
+        missing = restart(5_520_000)
+        del missing["consumed"]["bytes_rewritten"]
+        assert main(["--gate", f"{base}:{write(tmp_path / 'm.json', missing)}"]) == 1
+
     def test_missing_metric_in_current_fails(self, tmp_path):
         base = write(tmp_path / "b.json", {"speedup_10k": 10.0, "backends": []})
         curr = write(tmp_path / "c.json", {"backends": []})

@@ -30,11 +30,13 @@ from repro.errors import PersistenceError
 from repro.mq.manager import QueueManager
 from repro.mq.message import Message
 from repro.mq.persistence import (
+    SNAPSHOT_RUN_RECORDS,
     BinaryRecordCodec,
     FileJournal,
     MemoryJournal,
     _load_run,
     _scan_journal,
+    encode_snapshot,
     journal_for,
 )
 from repro.sim.clock import SimulatedClock
@@ -306,6 +308,29 @@ def test_encode_record_is_a_finished_frame_and_leaves_an_open_group_alone():
     records, _end, torn = _scan_journal(standalone, "<test>")
     assert [r["message"]["n"] for r in records] == [99] and not torn
     assert [r["message"]["n"] for r in journal.read_all()] == [1, 2]
+
+
+def test_a_snapshot_is_run_frames_of_bounded_length_each_with_one_memo():
+    shared = "SHARED-" + "z" * 300
+    records = [
+        record(n, shared if n % 2 else (n, b"\x01", {n}))
+        for n in range(2 * SNAPSHOT_RUN_RECORDS + 5)
+    ]
+    frames, count = encode_snapshot(iter(records))
+    assert count == len(records) and len(frames) == 3
+    for frame_bytes in frames:
+        magic, length, crc = HEADER.unpack_from(frame_bytes)
+        assert magic == RUN and length == len(frame_bytes) - HEADER.size
+        assert zlib.crc32(frame_bytes[HEADER.size:]) == crc
+        assert frame_bytes.count(shared.encode()) == 1
+    assert [len(_load_run(f[HEADER.size:])) for f in frames] == [SNAPSHOT_RUN_RECORDS] * 2 + [5]
+    data = b"".join(frames)
+    assert len(data) < sum(len(BinaryRecordCodec().encode_record(r)) for r in records)
+    decoded, end, torn = _scan_journal(data, "<test>")
+    assert decoded == records and (end, torn) == (len(data), 0)
+    assert encode_snapshot([]) == ([], 0)
+    with pytest.raises(PersistenceError):
+        encode_snapshot([record(1), record(2, NotData())])
 
 
 # -- every decoder of external bytes: records or a typed error, nothing else ---

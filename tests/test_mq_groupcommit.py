@@ -596,7 +596,22 @@ class TestReadIsOneCommitGroup:
         assert seen == {(1, 0, 0), (0, 1, 1)}
 
 
+class RewriteCountingJournal(MemoryJournal):
+    """A memory journal that counts the records its rewrites write."""
+
+    records_rewritten = 0
+
+    def rewrite(self, records):
+        super().rewrite(records)
+        self.records_rewritten += self.size()
+
+
 class TestAutoCompaction:
+    """Runtime compaction follows the doubling-array rule: a log is
+    rewritten once it holds ``compaction_threshold`` records *and* twice
+    what the last rewrite or restart found live, so the threshold is a
+    floor and each appended record is rewritten about once on average."""
+
     def test_threshold_triggers_checkpoint(self, clock):
         journal = MemoryJournal(compaction_threshold=20)
         manager = QueueManager("QM.C", clock, journal=journal)
@@ -621,6 +636,84 @@ class TestAutoCompaction:
         assert journal.rewrites == 1
         recovered = QueueManager.recover("QM.C", clock, journal)
         assert len(list(recovered.browse("A.Q"))) == 30
+
+    def test_live_puts_past_the_threshold_do_not_rewrite_at_every_append(self, clock):
+        journal = MemoryJournal(compaction_threshold=100)
+        manager = QueueManager("QM.C", clock, journal=journal)
+        manager.define_queue("A.Q")
+        for i in range(300):
+            manager.put("A.Q", Message(body=i))
+        assert journal.rewrites <= 3
+        recovered = QueueManager.recover("QM.C", clock, journal)
+        assert [m.body for m in recovered.browse("A.Q")] == list(range(300))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_rewritten_stay_within_twice_the_records_appended(self, clock, seed):
+        threshold = 40
+        rng = random.Random(seed)
+        journal = RewriteCountingJournal(compaction_threshold=threshold)
+        manager = QueueManager("QM.C", clock, journal=journal)
+        queues = ("A.Q", "B.Q", "C.Q")
+        for queue in queues:
+            manager.define_queue(queue)
+        for n in range(3_000):
+            queue = rng.choice(queues)
+            # Growth phases and drain phases, so the live set swings.
+            put_share = 0.8 if (n // 500) % 2 == 0 else 0.3
+            if rng.random() < put_share:
+                mode = (
+                    DeliveryMode.PERSISTENT
+                    if rng.random() < 0.9
+                    else DeliveryMode.NON_PERSISTENT
+                )
+                manager.put(queue, Message(body=n, delivery_mode=mode))
+            elif manager.depth(queue):
+                manager.get(queue)
+            assert (
+                journal.records_rewritten
+                <= 2 * journal.records_written + threshold
+            )
+        assert journal.rewrites >= 3
+        live = {
+            queue: [m.message_id for m in manager.browse(queue) if m.is_persistent()]
+            for queue in queues
+        }
+        recovered = QueueManager.recover("QM.C", clock, journal)
+        assert {q: [m.message_id for m in recovered.browse(q)] for q in queues} == live
+
+    @pytest.mark.parametrize("scheme", ["memory", "binfile"])
+    def test_a_restart_that_keeps_the_log_seeds_the_rule(self, clock, scheme, tmp_path):
+        path = str(tmp_path / "seed.journal")
+
+        def open_journal(threshold=None):
+            if scheme == "memory":
+                return MemoryJournal(compaction_threshold=threshold)
+            return FileJournal(path, sync="none", compaction_threshold=threshold)
+
+        journal = open_journal()
+        manager = QueueManager("QM.C", clock, journal=journal)
+        manager.define_queue("A.Q")
+        for i in range(150):
+            manager.put("A.Q", Message(body=i))
+        for _ in range(20):
+            manager.get("A.Q")
+        if scheme == "memory":
+            journal.compaction_threshold = 100
+        else:
+            journal.close()
+            journal = open_journal(100)
+        # 130 live puts, well past the threshold; 20 of 171 records dead.
+        recovered = QueueManager.recover("QM.C", clock, journal)
+        assert (journal.recover_compacted, journal.rewrites) == (0, 0)
+        recovered.put("A.Q", Message(body="one more"))
+        assert journal.rewrites == 0
+        live = journal.snapshot_records
+        while journal.size() < 2 * live - 1:
+            recovered.put("A.Q", Message(body="filler"))
+        assert journal.rewrites == 0
+        recovered.put("A.Q", Message(body="doubled"))
+        assert journal.rewrites == 1
+        journal.close()
 
 
 def _run_workload(clock, journal, seed, use_batching):

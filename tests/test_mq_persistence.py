@@ -11,6 +11,7 @@ from repro.errors import MQError, PersistenceError
 from repro.mq.manager import QueueManager
 from repro.mq.message import DeliveryMode, Message
 from repro.mq.persistence import (
+    SNAPSHOT_RUN_RECORDS,
     BinaryRecordCodec,
     FileJournal,
     MemoryJournal,
@@ -285,7 +286,7 @@ class TestFileJournal:
             manager.put("A.Q", Message(body=i))
         manager.checkpoint()
         # snapshot-begin + defines for A.Q and the (empty) dead-letter
-        # queue + 10 puts + snapshot-end, one frame each
+        # queue + 10 puts + snapshot-end, in one run frame
         records = FileJournal(path).read_all()
         assert journal.size() == len(records) == 14
         assert records[0]["op"] == "snapshot-begin"
@@ -468,3 +469,90 @@ class TestHealOnOpen:
         healed.read_all()
         # The rewritten log no longer contains the healed torn tail.
         assert healed.skipped_trailing_records == 0
+
+
+class TestSnapshotRuns:
+    """A checkpoint writes its snapshot as run frames of
+    ``SNAPSHOT_RUN_RECORDS`` records, each through one memo: what the
+    records of a run share is written once, and the log reads back as the
+    same queues."""
+
+    SHARED = {"payload": "S" * 400, "tags": ["a", "b"]}
+    BODIES = [(1, "two", (3.0,)), b"\x00\xffraw", {1, 2, 3}, frozenset({"x"}), None]
+
+    def fill(self, manager):
+        """Messages of many queues, most holding one shared body object."""
+        for q in range(5):
+            manager.define_queue(f"Q.{q}")
+        for n in range(2 * SNAPSHOT_RUN_RECORDS + 300):
+            body = self.SHARED if n % 4 else self.BODIES[n // 4 % len(self.BODIES)]
+            message = Message(body=body, priority=n % 10).with_properties(n=n)
+            manager.put(f"Q.{n % 5}", message)
+        return {
+            name: [(m.message_id, m.body, m.priority, m.properties) for m in manager.browse(name)]
+            for name in manager.queue_names()
+        }
+
+    def snapshot_of(self, manager):
+        journal = manager.journal
+        manager.checkpoint()
+        if isinstance(journal, FileJournal):
+            with open(journal.path, "rb") as handle:
+                return handle.read()
+        return b"".join(journal._frames)
+
+    def per_record_frames(self, journal):
+        codec = BinaryRecordCodec()
+        return sum(len(codec.encode_record(r)) for r in journal.read_all())
+
+    @pytest.mark.parametrize("store", ["memory", "binfile"])
+    def test_snapshot_is_memo_shared_runs_that_read_back_the_same_queues(
+        self, store, clock, tmp_path
+    ):
+        path = str(tmp_path / "snap.journal")
+        journal = MemoryJournal() if store == "memory" else FileJournal(path, sync="none")
+        manager = QueueManager("QM.S", clock, journal=journal)
+        expected = self.fill(manager)
+        data = self.snapshot_of(manager)
+        records = journal.read_all()
+        written = 2 + len(expected) + sum(len(v) for v in expected.values())
+        assert journal.size() == len(records) == written == journal.snapshot_records
+        # One run frame per SNAPSHOT_RUN_RECORDS records, nothing else.
+        offset, runs = 0, 0
+        while offset < len(data):
+            magic, length, _crc = struct.unpack_from("<BII", data, offset)
+            assert magic == 0xB1
+            offset += 9 + length
+            runs += 1
+        assert runs == -(-written // SNAPSHOT_RUN_RECORDS) >= 3
+        # The shared body is written once per run, not once per message.
+        assert data.count(b"S" * 400) == runs
+        assert len(data) < self.per_record_frames(journal) / 2
+        reopened = FileJournal(path) if store == "binfile" else journal
+        recovered = QueueManager.recover("QM.S", clock, reopened)
+        assert {
+            name: [(m.message_id, m.body, m.priority, m.properties) for m in recovered.browse(name)]
+            for name in recovered.queue_names()
+        } == expected
+        bodies = {type(m.body) for name in expected for m in recovered.browse(name)}
+        assert {tuple, bytes, set, frozenset, dict, type(None)} <= bodies
+        reopened.close()
+
+    def test_a_snapshot_that_fills_runs_exactly_ends_on_a_run(self, clock):
+        journal = MemoryJournal()
+        journal.checkpoint({"A.Q": [Message(body=n) for n in range(SNAPSHOT_RUN_RECORDS - 3)]})
+        # begin, define, the puts, end: exactly one run
+        assert (len(journal._frames), journal.size()) == (1, SNAPSHOT_RUN_RECORDS)
+        journal.checkpoint({"A.Q": [Message(body=n) for n in range(SNAPSHOT_RUN_RECORDS - 2)]})
+        assert (len(journal._frames), journal.size()) == (2, SNAPSHOT_RUN_RECORDS + 1)
+        assert len(journal.read_all()) == SNAPSHOT_RUN_RECORDS + 1
+
+    def test_a_refused_snapshot_leaves_the_log_as_it_was(self, clock):
+        journal = MemoryJournal()
+        manager = QueueManager("QM.S", clock, journal=journal)
+        manager.define_queue("A.Q")
+        manager.put("A.Q", Message(body=1))
+        before = list(journal._frames)
+        with pytest.raises(PersistenceError):
+            journal.checkpoint({"A.Q": [Message(body=1), Message(body=NotData())]})
+        assert journal._frames == before and journal.size() == 2
